@@ -24,9 +24,9 @@ from .errors import LevelMismatchError, NotASubgroupError, SectionOutOfRangeErro
 from .groups import (
     FiniteGroup,
     Homomorphism,
-    Subgroup,
     TupleClass,
     enumerate_hom_classes,
+    fixed_coset_conjugates,
     precompose,
     product_group,
     split_product_class,
@@ -38,6 +38,7 @@ from .groups import (
 from .isogeny import Isogeny, Section, psi_dual
 from .lattice import PAdicMatrix, mat_det, mat_transpose
 from .rng import SplitMix64, random_fraction
+from .torsion import max_subgroup_exponent
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -328,7 +329,8 @@ def _require_level_covers(group: FiniteGroup, p: int, level: int):
     needed = group.exponent_valuation(p)
     if level < needed:
         raise LevelMismatchError(
-            f"group {group.name} needs level >= {needed}, have {level}"
+            f"group {group.name} requires level N >= {needed} at p = {p}; "
+            f"got N = {level}"
         )
 
 
@@ -435,24 +437,13 @@ def transfer_counts(iota: Homomorphism, alpha: TupleClass):
     """
     if not iota.is_injective():
         raise NotASubgroupError("transfer needs an injective homomorphism")
-    big = iota.target
     inside = {img: src for src, img in enumerate(iota.mapping)}
     counts = {}
-    seen = set()
-    image = set(iota.mapping)
-    for g in range(big.order):
-        if g in seen:
-            continue
-        coset = {big.mul(g, h) for h in image}
-        seen |= coset
-        ginv = big.inverse(g)
-        conj = tuple(big.mul(big.mul(ginv, t), g) for t in alpha.rep)
-        if all(x in image for x in conj):
-            # fixed coset (lemma: conjugating into the image fixes the coset)
-            src_rep = TupleClass(
-                iota.source, tuple(inside[x] for x in conj), alpha.p
-            ).rep
-            counts[src_rep] = counts.get(src_rep, 0) + 1
+    for _, conj in fixed_coset_conjugates(iota.target, set(inside), alpha.rep):
+        src_rep = TupleClass(
+            iota.source, tuple(inside[x] for x in conj), alpha.p
+        ).rep
+        counts[src_rep] = counts.get(src_rep, 0) + 1
     return counts
 
 
@@ -473,10 +464,6 @@ def transfer(f: ClassFunction, iota: Homomorphism) -> ClassFunction:
     return ClassFunction(big, f.p, f.n, f.level, out)
 
 
-def transfer_from_subgroup(f: ClassFunction, sub: Subgroup) -> ClassFunction:
-    return transfer(f, sub.inclusion())
-
-
 # ---------------------------------------------------------------------------
 # power operations
 
@@ -484,11 +471,7 @@ def transfer_from_subgroup(f: ClassFunction, sub: Subgroup) -> ClassFunction:
 def _section_check(f: ClassFunction, m: int, section: Section):
     if (section.p, section.n) != (f.p, f.n):
         raise LevelMismatchError("section parameters do not match")
-    need = 0
-    q = 1
-    while q * f.p <= m:
-        q *= f.p
-        need += 1
+    need = max_subgroup_exponent(f.p, m)
     if need > section.bound:
         raise SectionOutOfRangeError(
             f"power operation with m={m} needs section bound >= {need}"

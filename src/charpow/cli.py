@@ -36,11 +36,9 @@ from .groups import (
     enumerate_hom_classes,
     wreath_class_to_decorated,
     wreath_group,
-    product_group,
-    symmetric_group,
 )
 from .isogeny import canonical_section, random_section
-from .torsion import enumerate_subgroups, enumerate_sums
+from .torsion import enumerate_subgroups, enumerate_sums, max_subgroup_exponent
 from .verify import VerifyConfig, run_suites
 
 EXIT_VERIFY_FAILED = 1
@@ -75,14 +73,6 @@ def _matrix_cell(matrix) -> str:
     return ";".join(" ".join(str(x) for x in row) for row in matrix)
 
 
-def _required_bound(p: int, m: int) -> int:
-    e, q = 0, 1
-    while q * p <= m:
-        q *= p
-        e += 1
-    return e
-
-
 def _make_section(args, bound: int):
     spec = args.section
     if spec == "canonical":
@@ -92,15 +82,6 @@ def _make_section(args, bound: int):
     if spec.startswith("seeded:"):
         return random_section(args.p, args.n, bound, int(spec.split(":", 1)[1]))
     raise ValueError(f"bad section spec {spec!r}")
-
-
-def _check_session_level(group, p: int, level: int):
-    needed = group.exponent_valuation(p)
-    if level < needed:
-        raise LevelMismatchError(
-            f"group {group.name} requires level N >= {needed} at p = {p}; "
-            f"got N = {level}"
-        )
 
 
 def cmd_enumerate(args) -> int:
@@ -182,31 +163,22 @@ def _builtin_generator(name: str, group, p, n, level) -> ClassFunction:
 
 
 def cmd_powerop(args) -> int:
+    # the section bound validates p before any group or table is built
+    section = _make_section(args, max_subgroup_exponent(args.p, args.m))
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         f = from_json_dict(data)
-        group = f.group
         if (f.p, f.n, f.level) != (args.p, args.n, args.level):
             raise LevelMismatchError(
                 "input class function does not match --p/--n/--level"
             )
     else:
-        group = build_group(args.group)
-        f = _builtin_generator(args.generator, group, args.p, args.n, args.level)
-    target = (
-        wreath_group(group, args.m)
-        if args.total
-        else product_group(group, symmetric_group(args.m))
-    )
-    _check_session_level(target, args.p, args.level)
-    section = _make_section(args, _required_bound(args.p, args.m))
-    result = (
-        total_power_op(f, args.m, section)
-        if args.total
-        else power_op(f, args.m, section)
-    )
-    _emit(_canonical_json(to_json_dict(result)), args.out)
+        f = _builtin_generator(
+            args.generator, build_group(args.group), args.p, args.n, args.level
+        )
+    op = total_power_op if args.total else power_op
+    _emit(_canonical_json(to_json_dict(op(f, args.m, section))), args.out)
     return 0
 
 

@@ -218,9 +218,6 @@ class TruncatedSeries:
         const = TruncatedSeries(self.ring, (self.ring.convert(self.coeffs[0]),) + (zero,) * d)
         return out.add(const)
 
-    def map_ring(self, new_ring) -> "TruncatedSeries":
-        return TruncatedSeries(new_ring, tuple(new_ring.convert(c) for c in self.coeffs))
-
     def is_zero(self) -> bool:
         z = self.ring.convert(0)
         return all(c == z for c in self.coeffs)

@@ -25,6 +25,7 @@ from .lattice import (
     Matrix,
     column_span_basis,
     int_valuation,
+    is_p_power,
     solve_integer,
 )
 from .rng import SplitMix64
@@ -130,21 +131,11 @@ class FiniteGroup:
 
     def exponent_valuation(self, p: int) -> int:
         """v_p of the exponent of the p-part of the group."""
-        best = 0
-        for o in self.orders():
-            o = int(o)
-            v = int_valuation(o, p) if o % p == 0 else 0
-            best = max(best, v)
-        return best
+        return max(int_valuation(int(o), p) for o in self.orders())
 
     def p_power_elements(self, p: int):
         orders = self.orders()
-        out = []
-        for i in range(self.order):
-            o = int(orders[i])
-            if o == p ** (int_valuation(o, p) if o % p == 0 else 0):
-                out.append(i)
-        return out
+        return [i for i in range(self.order) if is_p_power(int(orders[i]), p)]
 
     def centralizer(self, idxs):
         table = self.table
@@ -181,9 +172,8 @@ class TupleClass:
         rep = tuple(int(g) for g in self.rep)
         orders = self.group.orders()
         for g in rep:
-            o = int(orders[g])
-            if o != self.p ** (int_valuation(o, self.p) if o % self.p == 0 else 0):
-                raise NotPPowerTupleError(f"element {g} has order {o}")
+            if not is_p_power(int(orders[g]), self.p):
+                raise NotPPowerTupleError(f"element {g} has order {orders[g]}")
         for a, b in itertools.combinations(rep, 2):
             if self.group.mul(a, b) != self.group.mul(b, a):
                 raise NotPPowerTupleError("tuple entries do not commute")
@@ -509,24 +499,31 @@ def precompose(alpha: TupleClass, t: Matrix) -> TupleClass:
     return TupleClass(g, tuple(out), alpha.p)
 
 
-def fixed_cosets(group: FiniteGroup, subgroup: Subgroup, alpha: TupleClass):
-    """Coset representatives g with gH fixed by every entry of alpha's rep."""
-    if subgroup.parent is not group:
-        raise NotASubgroupError("subgroup does not live in the given group")
-    inside = set(subgroup.indices)
+def fixed_coset_conjugates(group: FiniteGroup, image: set, rep: tuple):
+    """(g, g^-1 rep g) for each coset g.image fixed by every entry of rep.
+
+    image is the index set of a subgroup; g is the least index of its coset.
+    A coset is fixed exactly when conjugating rep by g lands in image.
+    """
     seen = set()
     out = []
     for g in range(group.order):
         if g in seen:
             continue
-        coset = {group.mul(g, h) for h in subgroup.indices}
-        seen |= coset
+        seen.update(group.mul(g, h) for h in image)
         ginv = group.inverse(g)
-        if all(
-            group.mul(group.mul(ginv, t), g) in inside for t in alpha.rep
-        ):
-            out.append(g)
-    return tuple(out)
+        conj = tuple(group.mul(group.mul(ginv, t), g) for t in rep)
+        if all(x in image for x in conj):
+            out.append((g, conj))
+    return out
+
+
+def fixed_cosets(group: FiniteGroup, subgroup: Subgroup, alpha: TupleClass):
+    """Coset representatives g with gH fixed by every entry of alpha's rep."""
+    if subgroup.parent is not group:
+        raise NotASubgroupError("subgroup does not live in the given group")
+    found = fixed_coset_conjugates(group, set(subgroup.indices), alpha.rep)
+    return tuple(g for g, _ in found)
 
 
 def delta_embed(i: int, j: int) -> Homomorphism:
@@ -628,15 +625,6 @@ def split_product_class(alpha: TupleClass):
     left = tuple(g.index[alpha.group.elements[i][0]] for i in alpha.rep)
     right = tuple(k.index[alpha.group.elements[i][1]] for i in alpha.rep)
     return TupleClass(g, left, alpha.p), TupleClass(k, right, alpha.p)
-
-
-def pair_to_product_class(a: TupleClass, b: TupleClass) -> TupleClass:
-    prod = product_group(a.group, b.group)
-    rep = tuple(
-        prod.index[(a.group.elements[x], b.group.elements[y])]
-        for x, y in zip(a.rep, b.rep)
-    )
-    return TupleClass(prod, rep, a.p)
 
 
 # ---------------------------------------------------------------------------

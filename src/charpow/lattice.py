@@ -50,10 +50,6 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_vec(a: Matrix, v) -> tuple:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 def mat_det(a: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
@@ -105,6 +101,11 @@ def int_valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
+
+
+def is_p_power(x: int, p: int) -> bool:
+    """Whether x = p^e for some e >= 0."""
+    return x == p ** int_valuation(x, p)
 
 
 def _xgcd(a: int, b: int):
@@ -229,17 +230,22 @@ def _eliminate_row(cols, active, r):
 
 
 def _reduce_off_pivots(h):
-    """In-place reduction: entries right of each pivot into [0, pivot)."""
-    n = len(h)
+    """In-place reduction: entries right of each pivot into [0, pivot).
+
+    The top square block of h is upper triangular.  The column operations
+    act on every row, so rows stacked below that block (a transform
+    matrix) follow along; the block itself is zero below each pivot.
+    """
+    n = len(h[0])
     for i in range(n - 1, -1, -1):
         if h[i][i] < 0:
-            for r in range(n):
-                h[r][i] = -h[r][i]
+            for row in h:
+                row[i] = -row[i]
         for j in range(i + 1, n):
             q = h[i][j] // h[i][i]
             if q:
-                for r in range(i + 1):
-                    h[r][j] -= q * h[r][i]
+                for row in h:
+                    row[j] -= q * row[i]
 
 
 def column_span_basis(entries) -> Matrix:
@@ -282,23 +288,8 @@ def hnf(entries, p: int):
         pivots[r] = piv
         active = [i for i in active if i != piv]
     full = [[cols[pivots[j]][i] for j in range(n)] for i in range(2 * n)]
-    h = [row[:] for row in full[:n]]
-    u = [row[:] for row in full[n:]]
-    # mirror the reduction pass on the transform columns
-    for i in range(n - 1, -1, -1):
-        if h[i][i] < 0:
-            for r in range(n):
-                h[r][i] = -h[r][i]
-            for r in range(n):
-                u[r][i] = -u[r][i]
-        for j in range(i + 1, n):
-            q = h[i][j] // h[i][i]
-            if q:
-                for r in range(i + 1):
-                    h[r][j] -= q * h[r][i]
-                for r in range(n):
-                    u[r][j] -= q * u[r][i]
-    return LatticeBasis(p, freeze(h)), freeze(u)
+    _reduce_off_pivots(full)  # H on top, U below
+    return LatticeBasis(p, freeze(full[:n])), freeze(full[n:])
 
 
 def row_hnf(entries) -> Matrix:

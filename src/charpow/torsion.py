@@ -26,6 +26,7 @@ from .lattice import (
     hnf,
     identity_matrix,
     int_valuation,
+    is_p_power,
     mat_inverse_fractions,
     mat_transpose,
     row_hnf,
@@ -47,7 +48,7 @@ class TorsionSubgroup:
         det = 1
         for i in range(self.n):
             det *= self.matrix[i][i]
-        if det != self.p ** int_valuation(det, self.p):
+        if not is_p_power(det, self.p):
             raise ValueError("subgroup matrix must have p-power determinant")
 
     @property
@@ -60,9 +61,6 @@ class TorsionSubgroup:
         for i in range(self.n):
             out *= self.matrix[i][i]
         return out
-
-    def log_order(self) -> int:
-        return int_valuation(self.order, self.p)
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -205,15 +203,25 @@ class SumOfSubgroups:
         return tuple(h.sort_key() for h in self.summands)
 
 
+def max_subgroup_exponent(p: int, m: int) -> int:
+    """Largest e with p^e <= m: the top subgroup order p^e a total of m allows.
+
+    This is also the section bound a power operation P_m needs.
+    """
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
+    e, q = 0, p
+    while q <= m:
+        q *= p
+        e += 1
+    return e
+
+
 def enumerate_sums(p: int, n: int, m: int):
     """All formal sums of subgroups with orders adding up to m, canonically ordered."""
-    powers = []
-    q = 1
-    while q <= m:
-        powers.append(q)
-        q *= p
-    by_order = {q: enumerate_subgroups(p, n, int_valuation(q, p) if q > 1 else 0)
-                for q in powers}
+    by_order = {p ** e: enumerate_subgroups(p, n, e)
+                for e in range(max_subgroup_exponent(p, m) + 1)}
+    powers = list(by_order)
 
     sums = []
 

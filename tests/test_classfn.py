@@ -7,17 +7,16 @@ from charpow.classfn import (
     C0Element,
     ClassFunction,
     StabilizerElement,
+    TransferIdeal,
     act_by_residue,
     aut_act,
     average,
-    c0_constant,
     c0_coordinate,
     c0_delta,
     c0_one,
     c0_zero,
     constant_one,
     constant_value,
-    external_product,
     from_json_dict,
     general_linear_residues,
     indicator,
@@ -42,20 +41,33 @@ from charpow.groups import (
     Subgroup,
     TupleClass,
     build_group,
-    diagonal_wreath_hom,
     enumerate_hom_classes,
-    include_left_factor,
-    product_delta_homs,
-    product_group,
     symm_class_to_sum,
     symmetric_group,
-    times_hom,
     identity_hom,
     wreath_class_to_decorated,
 )
 from charpow.isogeny import canonical_section, random_section
 from charpow.lattice import PAdicMatrix
 from charpow.rng import SplitMix64
+from charpow.torsion import enumerate_subgroups
+from charpow.verify import (
+    diagonal_compatible,
+    ideal_contains_multi_summand,
+    ideal_excludes_transitive,
+    ideal_quotient_dim_matches,
+    invariance_preserved,
+    mth_power,
+    multiplicative,
+    naturality,
+    p1_is_identity,
+    p_of_one_is_one,
+    restriction_identity,
+    section_independent,
+    stabilizer_commutes,
+    transfer_of_one_is_regular,
+    transfer_restriction_identity,
+)
 
 P, N, LEVEL = 2, 2, 2
 
@@ -172,20 +184,13 @@ def test_average_projects_onto_invariants(s3):
 
 def test_transfer_whole_group_is_identity(s3):
     whole = Subgroup(s3, tuple(range(s3.order)))
-    sub_group = whole.as_group()
-    relabel = Homomorphism(
-        sub_group, s3, tuple(s3.index[lab] for lab in sub_group.elements)
-    )
     f = random_class_function(s3, P, N, LEVEL, seed=5)
-    assert transfer(restrict(f, relabel), whole.inclusion()) == f
+    assert transfer_restriction_identity(f, whole)
 
 
 def test_transfer_constant_one_counts_fixed_cosets():
     s2 = build_group("S2")
-    triv = Subgroup(s2, (s2.identity,))
-    tr = transfer(constant_one(triv.as_group(), P, 1, LEVEL), triv.inclusion())
-    assert tr.value_at((s2.identity,)) == c0_constant(P, 1, LEVEL, 2)
-    assert tr.value_at((1,)).is_zero()
+    assert transfer_of_one_is_regular(Subgroup(s2, (s2.identity,)), P, 1, LEVEL)
 
 
 def test_transfer_indicator_supported_on_one_class():
@@ -214,17 +219,9 @@ def test_transfer_indicator_supported_on_one_class():
 def test_transfer_ideal_m2_n1():
     ideal = transfer_ideal(P, 1, LEVEL, 2)
     assert ideal.quotient_dim() == 1
-    s2 = symmetric_group(2)
-    transposition_rep = (1,)
     # quotient supported on the transposition class only
-    vec_identity = [
-        Fraction(int(rep == (s2.identity,))) for rep in ideal.keys
-    ]
-    vec_transposition = [
-        Fraction(int(rep == transposition_rep)) for rep in ideal.keys
-    ]
-    assert ideal.contains_vector(vec_identity)
-    assert not ideal.contains_vector(vec_transposition)
+    assert ideal_contains_multi_summand(ideal)
+    assert ideal_excludes_transitive(ideal)
 
 
 def test_wreath_transfer_ideal_quotient_matches_single_summands():
@@ -354,56 +351,42 @@ def test_total_power_op_golden_s2_wreath():
 def test_power_op_one_and_multiplicativity(s3, section):
     one = constant_one(s3, P, N, LEVEL)
     for m in (1, 2, 3):
-        target = product_group(s3, symmetric_group(m))
-        assert power_op(one, m, section) == constant_one(target, P, N, LEVEL)
+        assert p_of_one_is_one(one, m, section)
     f = random_class_function(s3, P, N, LEVEL, seed=9)
     g = random_class_function(s3, P, N, LEVEL, seed=10)
     for m in (2, 3):
-        assert power_op(f.mul(g), m, section) == power_op(f, m, section).mul(
-            power_op(g, m, section)
-        )
+        assert multiplicative(f, g, m, power_op(f, m, section), section)
 
 
 def test_power_op_m1_identity(s3, section):
     f = random_class_function(s3, P, N, LEVEL, seed=11)
-    p1 = power_op(f, 1, section)
-    assert restrict(p1, include_left_factor(s3, symmetric_group(1))) == f
+    assert p1_is_identity(f, power_op(f, 1, section))
 
 
 def test_mth_power_identity(s3, section):
     f = random_class_function(s3, P, N, LEVEL, seed=12)
     for m in (2, 3, 4):
-        pm = power_op(f, m, section)
-        back = restrict(pm, include_left_factor(s3, symmetric_group(m)))
-        assert back == f.pow(m)
+        assert mth_power(f, m, power_op(f, m, section))
 
 
 def test_restriction_identity(s3, section):
     f = random_class_function(s3, P, N, LEVEL, seed=13)
+    pf = {m: power_op(f, m, section) for m in (1, 2, 3, 4)}
     for m, i in [(2, 1), (3, 1), (3, 2), (4, 2)]:
-        j = m - i
-        into_big, into_split = product_delta_homs(s3, i, j)
-        lhs = restrict(power_op(f, m, section), into_big)
-        rhs = restrict(
-            external_product(power_op(f, i, section), power_op(f, j, section)),
-            into_split,
-        )
-        assert lhs == rhs
+        assert restriction_identity(s3, i, m - i, pf[i], pf[m - i], pf[m])
+
+
+def _c2_into_s3():
+    s3 = build_group("S3")
+    transposition = next(i for i in range(6) if int(s3.orders()[i]) == 2)
+    return Homomorphism(build_group("C2"), s3, (s3.identity, transposition))
 
 
 def test_naturality(section):
-    s3 = build_group("S3")
-    c2 = build_group("C2")
-    transposition = next(i for i in range(6) if int(s3.orders()[i]) == 2)
-    gamma = Homomorphism(c2, s3, (s3.identity, transposition))
-    f = random_class_function(s3, P, N, LEVEL, seed=14)
+    gamma = _c2_into_s3()
+    f = random_class_function(gamma.target, P, N, LEVEL, seed=14)
     for m in (1, 2, 3):
-        lhs = power_op(restrict(f, gamma), m, section)
-        rhs = restrict(
-            power_op(f, m, section),
-            times_hom(gamma, identity_hom(symmetric_group(m))),
-        )
-        assert lhs == rhs
+        assert naturality(gamma, f, m, power_op(f, m, section), section)
 
 
 def test_restrict_identity_and_trivial_map(s3):
@@ -424,7 +407,7 @@ def test_total_power_op_m1_is_identity(section):
     g = build_group("C2")
     f = random_class_function(g, P, N, LEVEL, seed=31)
     t1 = total_power_op(f, 1, section)
-    assert restrict(t1, diagonal_wreath_hom(g, 1)) == power_op(f, 1, section)
+    assert diagonal_compatible(f, 1, t1, section)
     w = t1.group
     for rep, val in f.values.items():
         wrep = w.index[((g.elements[rep[0]],), (0,))], w.index[((g.elements[rep[1]],), (0,))]
@@ -435,24 +418,22 @@ def test_diagonal_compatibility(section):
     g = build_group("C2")
     f = random_class_function(g, P, N, LEVEL, seed=15)
     for m in (1, 2, 3):
-        total = total_power_op(f, m, section)
-        assert restrict(total, diagonal_wreath_hom(g, m)) == power_op(f, m, section)
+        assert diagonal_compatible(f, m, total_power_op(f, m, section), section)
 
 
 def test_section_independence_on_invariants(s3, section):
     f = average(random_class_function(s3, P, N, LEVEL, seed=16))
+    seeded = [random_section(P, N, 2, seed) for seed in (1, 2)]
     for m in (2, 3):
-        base = power_op(f, m, section)
-        for seed in (1, 2):
-            assert power_op(f, m, random_section(P, N, 2, seed)) == base
+        assert section_independent(power_op, f, m, power_op(f, m, section), seeded)
 
 
 def test_total_power_op_section_independence_on_invariants(section):
     g = build_group("C2")
     f = average(random_class_function(g, P, N, LEVEL, seed=26))
+    seeded = [random_section(P, N, 2, seed) for seed in (1, 2)]
     base = total_power_op(f, 2, section)
-    for seed in (1, 2):
-        assert total_power_op(f, 2, random_section(P, N, 2, seed)) == base
+    assert section_independent(total_power_op, f, 2, base, seeded)
 
 
 def test_section_domain_order_contract():
@@ -468,22 +449,24 @@ def test_section_domain_order_contract():
 
 
 def test_section_dependence_without_invariance(s3, section):
+    # the known-bad instance of section_independent: f is not invariant
     f = random_class_function(s3, P, N, LEVEL, seed=17)
-    assert power_op(f, 2, section) != power_op(f, 2, random_section(P, N, 2, 1))
+    base = power_op(f, 2, section)
+    assert not section_independent(
+        power_op, f, 2, base, [random_section(P, N, 2, 1)]
+    )
 
 
 def test_invariance_preservation(s3, section):
     f = average(random_class_function(s3, P, N, LEVEL, seed=18))
-    assert is_invariant(power_op(f, 2, section))
+    assert invariance_preserved(power_op(f, 2, section))
 
 
 def test_stabilizer_commutation(s3, section):
     rng = SplitMix64(5)
     f = random_class_function(s3, P, N, LEVEL, seed=19)
     s = random_stabilizer(P, N, LEVEL, rng)
-    assert stabilizer_act(power_op(f, 2, section), s) == power_op(
-        stabilizer_act(f, s), 2, section
-    )
+    assert stabilizer_commutes(power_op, f, 2, power_op(f, 2, section), s, section)
     assert stabilizer_act(f, StabilizerElement(P, N, LEVEL, ((1, 0), (0, 1)))) == f
     one = constant_one(s3, P, N, LEVEL)
     assert stabilizer_act(one, s) == one
@@ -504,3 +487,79 @@ def test_serialization_roundtrip(s3, section):
     p2 = power_op(f, 2, section)
     blob2 = json.dumps(to_json_dict(p2), sort_keys=True)
     assert from_json_dict(json.loads(blob2)) == p2
+
+
+# ---------------------------------------------------------------------------
+# every shared check of charpow.verify returns False on a known-bad instance;
+# section_independent's is test_section_dependence_without_invariance
+
+
+def _fn(spec, seed):
+    return random_class_function(build_group(spec), P, N, LEVEL, seed=seed)
+
+
+def _all_keys_ideal(m):
+    ideal = transfer_ideal(P, N, LEVEL, m)
+    size = len(ideal.keys)
+    units = [[int(i == j) for j in range(size)] for i in range(size)]
+    return TransferIdeal(ideal.group, P, N, LEVEL, units)
+
+
+BAD_INSTANCES = {
+    # P_1 of another function
+    "p1_is_identity": lambda sec: p1_is_identity(
+        _fn("S3", 40), power_op(_fn("S3", 41), 1, sec)
+    ),
+    # a function other than 1
+    "p_of_one_is_one": lambda sec: p_of_one_is_one(_fn("S3", 40), 2, sec),
+    # P_2(g) given as P_2(f)
+    "multiplicative": lambda sec: multiplicative(
+        _fn("S3", 40), _fn("S3", 41), 2, power_op(_fn("S3", 41), 2, sec), sec
+    ),
+    "mth_power": lambda sec: mth_power(
+        _fn("S3", 40), 2, power_op(_fn("S3", 41), 2, sec)
+    ),
+    "restriction_identity": lambda sec: restriction_identity(
+        build_group("S3"), 1, 1,
+        power_op(_fn("S3", 40), 1, sec), power_op(_fn("S3", 40), 1, sec),
+        power_op(_fn("S3", 41), 2, sec),
+    ),
+    "naturality": lambda sec: naturality(
+        _c2_into_s3(), _fn("S3", 40), 2, power_op(_fn("S3", 41), 2, sec), sec
+    ),
+    "diagonal_compatible": lambda sec: diagonal_compatible(
+        _fn("C2", 40), 2, total_power_op(_fn("C2", 41), 2, sec), sec
+    ),
+    # P_2 of a function that is not invariant
+    "invariance_preserved": lambda sec: invariance_preserved(
+        power_op(_fn("S3", 40), 2, sec)
+    ),
+    "stabilizer_commutes": lambda sec: stabilizer_commutes(
+        power_op, _fn("C2", 40), 2, power_op(_fn("C2", 41), 2, sec),
+        random_stabilizer(P, N, LEVEL, SplitMix64(5)), sec,
+    ),
+    # a proper subgroup
+    "transfer_restriction_identity": lambda sec: transfer_restriction_identity(
+        _fn("S3", 40), Subgroup(build_group("S3"), (build_group("S3").identity,))
+    ),
+    # a nontrivial subgroup
+    "transfer_of_one_is_regular": lambda sec: transfer_of_one_is_regular(
+        Subgroup(build_group("S2"), (0, 1)), P, N, LEVEL
+    ),
+    # the subgroups of order 4 against the ideal of S_2
+    "ideal_quotient_dim_matches": lambda sec: ideal_quotient_dim_matches(
+        transfer_ideal(P, N, LEVEL, 2), enumerate_subgroups(P, N, 2)
+    ),
+    # the zero ideal, and the ideal spanned by every class
+    "ideal_contains_multi_summand": lambda sec: ideal_contains_multi_summand(
+        TransferIdeal(symmetric_group(2), P, N, LEVEL, [])
+    ),
+    "ideal_excludes_transitive": lambda sec: ideal_excludes_transitive(
+        _all_keys_ideal(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BAD_INSTANCES))
+def test_check_fails_on_bad_instance(check, section):
+    assert BAD_INSTANCES[check](section) is False

@@ -87,6 +87,19 @@ def test_level_mismatch_exit_4(capsys):
     assert "3" in err  # the message names the required level
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--kind", "sums", "--p", "1", "--m", "3"],
+        ["powerop", "--group", "S1", "--m", "2", "--p", "1"],
+    ],
+)
+def test_p_below_two_exit_2(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "p = 1" in err
+
+
 def test_section_out_of_range_exit_5(capsys, tmp_path):
     # a hand-written section bound cannot happen through the CLI (the bound is
     # computed from m), so exercise the error through a crafted input instead

@@ -9,7 +9,6 @@ from charpow.fgl import (
     RationalCoefficients,
     TruncatedPoly,
     TruncatedSeries,
-    abelian_quotient_rank,
     build_additive,
     build_honda,
     build_honda_rational,
@@ -20,6 +19,14 @@ from charpow.fgl import (
     quotient_ring_rank,
     series_reversion,
     weierstrass_degree,
+)
+from charpow.verify import (
+    fgl_axioms,
+    has_height,
+    i_series_additive,
+    multiplicative_two_series,
+    p_integral,
+    quotient_rank,
 )
 
 Q2 = RationalCoefficients(2)
@@ -45,7 +52,7 @@ def test_additive_and_multiplicative_i_series():
     add = build_additive(Q2, 6)
     assert add.i_series(2).coeffs == (0, 2, 0, 0, 0, 0, 0)
     mult = build_multiplicative(Q2, 6)
-    assert mult.i_series(2).coeffs == (0, 2, 1, 0, 0, 0, 0)
+    assert multiplicative_two_series(mult)
     # [3](x) = (1+x)^3 - 1
     assert mult.i_series(3).coeffs == (0, 3, 3, 1, 0, 0, 0)
 
@@ -53,9 +60,9 @@ def test_additive_and_multiplicative_i_series():
 @pytest.mark.parametrize("p", [2, 3])
 def test_multiplicative_weierstrass_degree(p):
     mult = build_multiplicative(RationalCoefficients(p), p + 2)
-    assert weierstrass_degree(mult.i_series(p)) == p
+    assert quotient_rank(mult, [1], 1)
     reduced = build_multiplicative(prime_field(p), p + 2)
-    assert weierstrass_degree(reduced.i_series(p)) == p
+    assert quotient_rank(reduced, [1], 1)
 
 
 def test_weierstrass_degree_basics():
@@ -90,9 +97,7 @@ def test_honda_log_exp_oracle():
 def test_honda_axioms_and_associativity():
     for p, n in [(2, 1), (2, 2), (3, 1)]:
         law = build_honda(p, n, default_truncation(p, n))
-        assert law.unit_axiom_holds()
-        assert law.is_commutative()
-        assert law.associativity_residual_is_zero()
+        assert fgl_axioms(law)
 
 
 def test_honda_rational_associativity_small():
@@ -102,15 +107,13 @@ def test_honda_rational_associativity_small():
 
 def test_i_series_additivity():
     law = build_honda(2, 2, default_truncation(2, 2))
-    for i in range(5):
-        for j in range(5 - i):
-            assert law.plus(law.i_series(i), law.i_series(j)) == law.i_series(i + j)
+    assert i_series_additive(law, 5)
 
 
 def test_height_tower():
     law = build_honda(2, 2, default_truncation(2, 2))
-    assert weierstrass_degree(law.i_series(2)) == 4
-    assert weierstrass_degree(law.i_series(4)) == 16
+    assert quotient_rank(law, [1], 2)
+    assert quotient_rank(law, [2], 2)
     assert weierstrass_degree(law.i_series(2)) ** 2 == weierstrass_degree(
         law.i_series(4)
     )
@@ -124,7 +127,7 @@ def test_quotient_ring_ranks():
     rank, basis = quotient_ring_rank(law, 1)
     assert rank == 4
     assert basis == ("1", "x", "x^2", "x^3")
-    assert abelian_quotient_rank(law, [1, 1]) == 16
+    assert quotient_rank(law, [1, 1], 2)
 
 
 def test_quotient_rank_requires_enough_truncation():
@@ -146,3 +149,34 @@ def test_poly_substitution_consistency():
     x1 = TruncatedPoly.var(Q2, 1, 5, 0)
     zero = TruncatedPoly.zero(Q2, 1, 5)
     assert mult.law.substitute([x1, zero]) == x1
+
+
+# every formal-group check of charpow.verify returns False on a known-bad law
+
+
+def _law(coeffs, trunc=8):
+    return FGL(Q2, trunc, TruncatedPoly.make(Q2, 2, trunc, coeffs), "bad")
+
+
+BAD_INSTANCES = {
+    "multiplicative_two_series": lambda: multiplicative_two_series(
+        build_additive(Q2, 6)
+    ),
+    # the multiplicative law has height 1
+    "quotient_rank": lambda: quotient_rank(build_multiplicative(Q2, 4), [1], 2),
+    "has_height": lambda: has_height(build_multiplicative(prime_field(2), 5), 2),
+    # x + y + x y^2 is not commutative
+    "fgl_axioms": lambda: fgl_axioms(_law({(1, 0): 1, (0, 1): 1, (1, 2): 1})),
+    # x + y + x^2 y^2 is commutative but not associative
+    "i_series_additive": lambda: i_series_additive(
+        _law({(1, 0): 1, (0, 1): 1, (2, 2): 1}), 4
+    ),
+    "p_integral": lambda: p_integral(
+        _law({(1, 0): 1, (0, 1): 1, (1, 1): Fraction(1, 2)})
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BAD_INSTANCES))
+def test_check_fails_on_bad_instance(check):
+    assert BAD_INSTANCES[check]() is False

@@ -17,7 +17,6 @@ from charpow.groups import (
     TupleClass,
     abelian_subgroups,
     build_group,
-    decorated_to_wreath_class,
     delta_embed,
     diagonal_wreath_hom,
     enumerate_hom_classes,
@@ -36,6 +35,16 @@ from charpow.torsion import (
     enumerate_sums,
     subgroup_from_generators,
     trivial_subgroup,
+)
+from charpow.verify import (
+    abelian_classes_cover,
+    digit_concat_covers,
+    top_split_covers,
+    transitive_classes_match,
+    tuple_sum_count,
+    tuple_sum_inverse,
+    wreath_roundtrip,
+    wreath_trivial_g,
 )
 from fractions import Fraction
 
@@ -171,29 +180,18 @@ def test_symm_class_to_sum_transposition_orbit_oracle():
 
 @pytest.mark.parametrize("p,n,m", [(2, 1, 4), (2, 2, 4), (2, 2, 5), (2, 3, 4), (3, 1, 3), (3, 2, 3)])
 def test_tuple_classes_biject_with_sums(p, n, m):
-    g = symmetric_group(m)
-    classes = enumerate_hom_classes(g, n, p)
+    classes = enumerate_hom_classes(symmetric_group(m), n, p)
     sums = enumerate_sums(p, n, m)
-    assert len(classes) == len(sums)
-    image = {symm_class_to_sum(c) for c in classes}
-    assert image == set(sums)
-    for c in classes:
-        assert sum_to_symm_class(symm_class_to_sum(c), n) == c
+    assert tuple_sum_count(classes, sums)
+    assert tuple_sum_inverse(classes, sums)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_transitive_classes_match_subgroups(n):
     # two-sided counting oracle for p=2, k <= 2
     for k in (1, 2):
-        g = symmetric_group(2 ** k)
-        transitive = [
-            c
-            for c in enumerate_hom_classes(g, n, 2)
-            if len(symm_class_to_sum(c).summands) == 1
-        ]
-        subs = enumerate_subgroups(2, n, k)
-        assert len(transitive) == len(subs)
-        assert {symm_class_to_sum(c).summands[0] for c in transitive} == set(subs)
+        classes = enumerate_hom_classes(symmetric_group(2 ** k), n, 2)
+        assert transitive_classes_match(classes, enumerate_subgroups(2, n, k))
 
 
 def test_sum_to_symm_roundtrip_all_of_sum4():
@@ -300,10 +298,8 @@ def test_wreath_roundtrip_and_counts():
     w = build_group("wr(S2,2)")
     classes = enumerate_hom_classes(w, 1, 2)
     assert len(classes) == 5
-    for c in classes:
-        d = wreath_class_to_decorated(c)
-        assert d.total == 2
-        assert decorated_to_wreath_class(d, 1) == c
+    assert all(wreath_class_to_decorated(c).total == 2 for c in classes)
+    assert wreath_roundtrip(classes)
 
 
 def test_wreath_diagonal_tuple_gives_trivial_summands():
@@ -321,13 +317,8 @@ def test_wreath_diagonal_tuple_gives_trivial_summands():
 
 
 def test_wreath_reduces_to_symmetric_bijection_for_trivial_g():
-    w = build_group("wr(S1,3)")
-    classes = enumerate_hom_classes(w, 2, 2)
-    plain = {
-        SumOfSubgroups(tuple(h for h, _ in wreath_class_to_decorated(c).summands))
-        for c in classes
-    }
-    assert plain == set(enumerate_sums(2, 2, 3))
+    classes = enumerate_hom_classes(build_group("wr(S1,3)"), 2, 2)
+    assert wreath_trivial_g(classes, enumerate_sums(2, 2, 3))
 
 
 def test_decorated_sum_canonical_order():
@@ -336,3 +327,44 @@ def test_decorated_sum_canonical_order():
         d = wreath_class_to_decorated(c)
         keys = [(h.sort_key(), a.rep) for h, a in d.summands]
         assert keys == sorted(keys)
+
+
+# every bijection check of charpow.verify returns False on a known-bad instance
+
+
+def _classes(spec):
+    return enumerate_hom_classes(build_group(spec), 2, 2)
+
+
+BAD_INSTANCES = {
+    # the classes of S_3 against the sums of total 4
+    "tuple_sum_count": lambda: tuple_sum_count(_classes("S3"), enumerate_sums(2, 2, 4)),
+    "tuple_sum_inverse": lambda: tuple_sum_inverse(
+        _classes("S3"), enumerate_sums(2, 2, 4)
+    ),
+    # the classes of S_4 against the subgroups of order 2
+    "transitive_classes_match": lambda: transitive_classes_match(
+        _classes("S4"), enumerate_subgroups(2, 2, 1)
+    ),
+    # one sum or class missing from the target
+    "digit_concat_covers": lambda: digit_concat_covers(
+        2, 2, 3, enumerate_sums(2, 2, 3)[:-1]
+    ),
+    "top_split_covers": lambda: top_split_covers(2, 2, 2, enumerate_sums(2, 2, 4)[:-1]),
+    "abelian_classes_cover": lambda: abelian_classes_cover(
+        build_group("S3"), 2, 2, _classes("S3")[:-1]
+    ),
+    # a class listed twice
+    "wreath_roundtrip": lambda: wreath_roundtrip(
+        _classes("wr(S2,2)") + _classes("wr(S2,2)")[:1]
+    ),
+    # the classes of e wr S_3 against the sums of total 4
+    "wreath_trivial_g": lambda: wreath_trivial_g(
+        _classes("wr(S1,3)"), enumerate_sums(2, 2, 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BAD_INSTANCES))
+def test_check_fails_on_bad_instance(check):
+    assert BAD_INSTANCES[check]() is False

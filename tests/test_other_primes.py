@@ -5,18 +5,23 @@ from charpow.classfn import (
     is_invariant,
     power_op,
     random_class_function,
-    restrict,
     total_power_op,
     transfer_ideal,
 )
 from charpow.groups import (
     build_group,
-    diagonal_wreath_hom,
     enumerate_hom_classes,
     symmetric_group,
 )
 from charpow.isogeny import canonical_section, random_section
 from charpow.torsion import enumerate_subgroups, enumerate_sums
+from charpow.verify import (
+    diagonal_compatible,
+    ideal_quotient_dim_matches,
+    invariance_preserved,
+    section_independent,
+    tuple_sum_count,
+)
 
 
 def test_p3_counts():
@@ -25,7 +30,7 @@ def test_p3_counts():
     for n in (1, 2):
         for m in (3, 6):
             classes = enumerate_hom_classes(symmetric_group(m), n, 3)
-            assert len(classes) == len(enumerate_sums(3, n, m))
+            assert tuple_sum_count(classes, enumerate_sums(3, n, m))
 
 
 def test_p3_section_independence_and_invariance():
@@ -33,11 +38,11 @@ def test_p3_section_independence_and_invariance():
     sec = canonical_section(3, 1, 1)
     f = average(random_class_function(g, 3, 1, 1, seed=1))
     assert is_invariant(f)
+    seeded = [random_section(3, 1, 1, s) for s in (1, 2)]
     for m in (1, 2, 3):
         base = power_op(f, m, sec)
-        assert is_invariant(base)
-        for s in (1, 2):
-            assert power_op(f, m, random_section(3, 1, 1, s)) == base
+        assert invariance_preserved(base)
+        assert section_independent(power_op, f, m, base, seeded)
 
 
 def test_p3_rank2_section_independence():
@@ -45,9 +50,9 @@ def test_p3_rank2_section_independence():
     sec = canonical_section(3, 2, 1)
     f = average(random_class_function(g, 3, 2, 1, seed=2))
     base = power_op(f, 3, sec)
-    assert is_invariant(base)
-    for s in (1, 2):
-        assert power_op(f, 3, random_section(3, 2, 1, s)) == base
+    assert invariance_preserved(base)
+    seeded = [random_section(3, 2, 1, s) for s in (1, 2)]
+    assert section_independent(power_op, f, 3, base, seeded)
 
 
 def test_p3_diagonal_compatibility_needs_level_2():
@@ -55,10 +60,9 @@ def test_p3_diagonal_compatibility_needs_level_2():
     g = build_group("C3")
     sec = canonical_section(3, 1, 1)
     f = random_class_function(g, 3, 1, 2, seed=3)
-    total = total_power_op(f, 3, sec)
-    assert restrict(total, diagonal_wreath_hom(g, 3)) == power_op(f, 3, sec)
+    assert diagonal_compatible(f, 3, total_power_op(f, 3, sec), sec)
 
 
 def test_p3_transfer_ideal():
     ideal = transfer_ideal(3, 1, 1, 3)
-    assert ideal.quotient_dim() == len(enumerate_subgroups(3, 1, 1))
+    assert ideal_quotient_dim_matches(ideal, enumerate_subgroups(3, 1, 1))
