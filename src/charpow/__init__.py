@@ -24,7 +24,7 @@ from .errors import (
     SectionOutOfRangeError,
     SingularMatrixError,
 )
-from .lattice import LatticeBasis, PAdicMatrix, det_valuation, hnf, snf, solve_integer
+from .lattice import LatticeBasis, PAdicMatrix, hnf, snf, solve_integer
 from .torsion import (
     SumOfSubgroups,
     TorsionSubgroup,
@@ -81,7 +81,6 @@ from .fgl import (
     TruncatedSeries,
     build_honda,
     build_multiplicative,
-    i_series,
     quotient_ring_rank,
     weierstrass_degree,
 )

@@ -36,7 +36,7 @@ from .groups import (
     wreath_group,
 )
 from .isogeny import Isogeny, Section, psi_dual
-from .lattice import PAdicMatrix, mat_det, mat_transpose
+from .lattice import PAdicMatrix, mat_det, mat_transpose, reduce_against, row_reduce
 from .rng import SplitMix64, random_fraction
 from .torsion import max_subgroup_exponent
 
@@ -218,7 +218,7 @@ class ClassFunction:
         self.level = level
         keys = {c.rep for c in enumerate_hom_classes(group, n, p)}
         table = {}
-        for rep, val in (values.items() if isinstance(values, dict) else values):
+        for rep, val in values.items():
             rep = tuple(int(x) for x in rep)
             if rep not in keys:
                 raise ValueError(f"{rep} is not a canonical tuple-class key")
@@ -531,7 +531,7 @@ class TransferIdeal:
         self.level = level
         self.keys = tuple(c.rep for c in enumerate_hom_classes(group, n, p))
         self.generators = tuple(generators)  # integer vectors over self.keys
-        self._rref = _row_reduce([list(map(Fraction, g)) for g in self.generators])
+        self._rref = row_reduce([list(map(Fraction, g)) for g in self.generators])
 
     @property
     def rank(self) -> int:
@@ -541,8 +541,7 @@ class TransferIdeal:
         return len(self.keys) - self.rank
 
     def contains_vector(self, vec) -> bool:
-        row = [Fraction(x) for x in vec]
-        row = _reduce_against(row, self._rref)
+        row = reduce_against([Fraction(x) for x in vec], self._rref)
         return all(x == 0 for x in row)
 
     def contains(self, f: ClassFunction) -> bool:
@@ -553,35 +552,6 @@ class TransferIdeal:
             if not self.contains_vector(vec):
                 return False
         return True
-
-
-def _row_reduce(rows):
-    basis = []
-    for row in rows:
-        row = _reduce_against(row, basis)
-        pivot = next((i for i, x in enumerate(row) if x != 0), None)
-        if pivot is None:
-            continue
-        inv = Fraction(1) / row[pivot]
-        row = [x * inv for x in row]
-        basis.append(row)
-        basis.sort(key=lambda r: next(i for i, x in enumerate(r) if x != 0))
-        for i, other in enumerate(basis):
-            if other is not row:
-                p2 = next(j for j, x in enumerate(row) if x != 0)
-                if other[p2] != 0:
-                    basis[i] = [a - other[p2] * b for a, b in zip(other, row)]
-    return [r for r in basis if any(x != 0 for x in r)]
-
-
-def _reduce_against(row, basis):
-    row = list(row)
-    for b in basis:
-        pivot = next(i for i, x in enumerate(b) if x != 0)
-        if row[pivot] != 0:
-            c = row[pivot]
-            row = [a - c * v for a, v in zip(row, b)]
-    return row
 
 
 def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
@@ -639,11 +609,10 @@ def to_json_dict(f: ClassFunction) -> dict:
     }
 
 
-def from_json_dict(data: dict, group: FiniteGroup = None) -> ClassFunction:
+def from_json_dict(data: dict) -> ClassFunction:
     from .groups import build_group
 
-    if group is None:
-        group = build_group(data["group"])
+    group = build_group(data["group"])
     p, n, level = int(data["p"]), int(data["n"]), int(data["level"])
     values = {}
     for entry in data["classes"]:

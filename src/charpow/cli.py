@@ -38,6 +38,7 @@ from .groups import (
     wreath_group,
 )
 from .isogeny import canonical_section, random_section
+from .lattice import is_prime
 from .torsion import enumerate_subgroups, enumerate_sums, max_subgroup_exponent
 from .verify import VerifyConfig, run_suites
 
@@ -77,8 +78,6 @@ def _make_section(args, bound: int):
     spec = args.section
     if spec == "canonical":
         return canonical_section(args.p, args.n, bound)
-    if spec == "seeded":
-        return random_section(args.p, args.n, bound, args.seed)
     if spec.startswith("seeded:"):
         return random_section(args.p, args.n, bound, int(spec.split(":", 1)[1]))
     raise ValueError(f"bad section spec {spec!r}")
@@ -163,7 +162,6 @@ def _builtin_generator(name: str, group, p, n, level) -> ClassFunction:
 
 
 def cmd_powerop(args) -> int:
-    # the section bound validates p before any group or table is built
     section = _make_section(args, max_subgroup_exponent(args.p, args.m))
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -216,12 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--p", type=int, default=2, help="prime")
         p.add_argument("--n", type=int, default=2, help="rank of the torus")
-        p.add_argument("--level", type=int, default=2, help="working level N")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     enum = sub.add_parser("enumerate", help="canonical listings with counts")
     common(enum)
+    enum.add_argument("--format", choices=("json", "csv"), default="json")
     enum.add_argument(
         "--kind",
         required=True,
@@ -234,11 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("powerop", help="apply a power operation to a class function")
     common(pw)
+    pw.add_argument("--level", type=int, default=2, help="working level N")
     pw.add_argument("--m", type=int, required=True)
     pw.add_argument("--group", default="S1")
     pw.add_argument("--section", default="canonical",
                     help="canonical | seeded:<u64>")
-    pw.add_argument("--seed", type=int, default=0, help="seed for --section seeded")
     pw.add_argument("--input", default=None, help="class function JSON file")
     pw.add_argument("--generator", default="one",
                     help="built-in input: one | coord | delta:<index>")
@@ -248,6 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run property suites")
     common(ver)
+    ver.add_argument("--level", type=int, default=2, help="working level N")
     ver.add_argument(
         "--suite",
         default="all",
@@ -260,6 +258,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args):
+    """Reject out-of-range parameters before any work, with one line naming each.
+
+    Checked after parsing: an argparse type hook would also print the usage.
+    """
+    if not is_prime(args.p):
+        raise ValueError(f"p = {args.p} is not prime")
+    for name, low in (("n", 1), ("level", 1), ("m", 0), ("k", 0)):
+        value = getattr(args, name, low)
+        if value < low:
+            raise ValueError(f"{name} = {value} must be at least {low}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -267,6 +278,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_SPEC if exc.code not in (0, None) else 0
     try:
+        _check_ranges(args)
         return args.func(args)
     except GroupTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -350,13 +350,9 @@ def build_honda_rational(p: int, n: int, trunc: int) -> FGL:
     return fgl
 
 
-def build_honda(p: int, n: int, trunc: int, level: int = 1) -> FGL:
-    """Honda law reduced to integers mod p^level (level 1: the residue field)."""
-    return build_honda_rational(p, n, trunc).reduce(IntegersMod(p, level))
-
-
-def i_series(fgl: FGL, i: int) -> TruncatedSeries:
-    return fgl.i_series(i)
+def build_honda(p: int, n: int, trunc: int) -> FGL:
+    """Honda law reduced to the residue field Z/p."""
+    return build_honda_rational(p, n, trunc).reduce(IntegersMod(p, 1))
 
 
 def weierstrass_degree(g: TruncatedSeries) -> int:

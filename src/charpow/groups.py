@@ -42,7 +42,7 @@ FULL_CHECK_LIMIT = 200
 class FiniteGroup:
     """Indexed element set with a full multiplication table."""
 
-    def __init__(self, name, elements, mul_label, structure=None, generators=None):
+    def __init__(self, name, elements, mul_label, structure=None):
         if len(elements) > ORDER_CAP:
             raise GroupTooLargeError(
                 f"group {name} has order {len(elements)} > {ORDER_CAP}"
@@ -51,18 +51,11 @@ class FiniteGroup:
         self.elements = tuple(elements)
         self.index = {lab: i for i, lab in enumerate(self.elements)}
         self.structure = structure
-        self.generators = generators
         n = len(self.elements)
         table = np.empty((n, n), dtype=np.uint16)
         for i, a in enumerate(self.elements):
-            row = [self.index[mul_label(a, b)] for b in self.elements]
-            table[i] = row
+            table[i] = [self.index[mul_label(a, b)] for b in self.elements]
         self.table = table
-        self._finish_init()
-
-    def _finish_init(self):
-        table = self.table
-        n = self.order
         eye = np.arange(n)
         ident = np.nonzero((table == eye).all(axis=1) & (table.T == eye).all(axis=1))[0]
         if len(ident) != 1:
@@ -323,10 +316,6 @@ def _build_atom(atom: str) -> FiniteGroup:
     raise ValueError(f"bad group spec {atom!r}")
 
 
-def trivial_group() -> FiniteGroup:
-    return symmetric_group(1)
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms and subgroups
 
@@ -486,17 +475,18 @@ def enumerate_hom_classes(group: FiniteGroup, n: int, p: int):
     return classes
 
 
+def _evaluate(group: FiniteGroup, rep, vec) -> int:
+    """prod_i rep_i^{vec_i}: the commuting tuple rep as a map Z^n -> group at vec."""
+    acc = group.identity
+    for g, e in zip(rep, vec):
+        acc = group.mul(acc, group.power(g, int(e)))
+    return acc
+
+
 def precompose(alpha: TupleClass, t: Matrix) -> TupleClass:
     """Class of the tuple h_j = prod_i g_i^{T[i][j]} (right action of matrices)."""
-    g = alpha.group
-    n = alpha.n
-    out = []
-    for j in range(len(t[0])):
-        acc = g.identity
-        for i in range(n):
-            acc = g.mul(acc, g.power(alpha.rep[i], int(t[i][j])))
-        out.append(acc)
-    return TupleClass(g, tuple(out), alpha.p)
+    out = tuple(_evaluate(alpha.group, alpha.rep, col) for col in zip(*t))
+    return TupleClass(alpha.group, out, alpha.p)
 
 
 def fixed_coset_conjugates(group: FiniteGroup, image: set, rep: tuple):
@@ -686,29 +676,18 @@ def _stabilizer_basis(perms, orbit, p, n) -> LatticeBasis:
     return LatticeBasis(p, column_span_basis(stacked))
 
 
-def symm_class_to_sum(alpha: TupleClass) -> SumOfSubgroups:
-    """Canonical bijection from tuple classes in S_m to sums of subgroups."""
-    group = alpha.group
-    if not (group.structure and group.structure[0] == "symmetric"):
-        raise ValueError("symm_class_to_sum needs a symmetric group class")
-    m = group.structure[1]
-    perms = [group.elements[i] for i in alpha.rep]
-    n, p = alpha.n, alpha.p
-    summands = []
-    for orbit in _perm_orbits(perms, m):
+def _orbit_subgroups(perms, p: int, n: int):
+    """(base point, annihilator basis, subgroup) for each orbit of a permutation tuple.
+
+    Orbit-stabilizer: the orbit is Z^n / Lambda with Lambda the stabilizer
+    of its base point, so the subgroup H with annihilator Lambda has the
+    orbit's size.
+    """
+    for orbit in _perm_orbits(perms, len(perms[0])):
         basis = _stabilizer_basis(perms, orbit, p, n)
         h = subgroup_from_annihilator(p, basis)
         assert h.order == len(orbit)
-        summands.append(h)
-    return SumOfSubgroups(tuple(summands))
-
-
-def _coset_reps(basis: Matrix, n: int):
-    """Canonical residues mod the column span of an upper-triangular basis."""
-    return [
-        tuple(v)
-        for v in itertools.product(*[range(basis[i][i]) for i in range(n)])
-    ]
+        yield orbit[0], basis, h
 
 
 def _reduce_mod_basis(basis: Matrix, v):
@@ -721,27 +700,51 @@ def _reduce_mod_basis(basis: Matrix, v):
     return tuple(v)
 
 
-def sum_to_symm_class(s: SumOfSubgroups, n: int) -> TupleClass:
-    """Inverse bijection: permutation tuple of the translation action on cosets."""
-    m = s.total
-    group = symmetric_group(m)
-    if not s.summands:
-        raise ValueError("empty sum")
-    p = s.summands[0].p
-    perms = [[None] * m for _ in range(n)]
+def _coset_translations(lattices, n: int):
+    """Translation by each e_j on the disjoint union of the Z^n / Lambda_k.
+
+    Cosets are numbered lattice by lattice, then by canonical residue;
+    lattices are indexed by position, since a decorated sum can repeat a
+    subgroup with different decorations.  Yields (j, c, d, k, lam): coset c
+    of the k-th lattice moves to coset d, with r_c + e_j = r_d + lam and lam
+    in Lambda_k.
+    """
     offset = 0
-    for h in s.summands:
-        basis = annihilator_lattice(h).matrix
-        reps = _coset_reps(basis, n)
+    for k, lattice in enumerate(lattices):
+        basis = lattice.matrix
+        reps = list(itertools.product(*[range(basis[i][i]) for i in range(n)]))
         pos = {r: offset + i for i, r in enumerate(reps)}
         for j in range(n):
             for r in reps:
-                shifted = list(r)
-                shifted[j] += 1
-                perms[j][pos[r]] = pos[_reduce_mod_basis(basis, shifted)]
+                shifted = [x + int(i == j) for i, x in enumerate(r)]
+                target = _reduce_mod_basis(basis, shifted)
+                lam = tuple(a - b for a, b in zip(shifted, target))
+                yield j, pos[r], pos[target], k, lam
         offset += len(reps)
+
+
+def symm_class_to_sum(alpha: TupleClass) -> SumOfSubgroups:
+    """Canonical bijection from tuple classes in S_m to sums of subgroups."""
+    group = alpha.group
+    if not (group.structure and group.structure[0] == "symmetric"):
+        raise ValueError("symm_class_to_sum needs a symmetric group class")
+    perms = [group.elements[i] for i in alpha.rep]
+    return SumOfSubgroups(
+        tuple(h for _, _, h in _orbit_subgroups(perms, alpha.p, alpha.n))
+    )
+
+
+def sum_to_symm_class(s: SumOfSubgroups, n: int) -> TupleClass:
+    """Inverse bijection: permutation tuple of the translation action on cosets."""
+    if not s.summands:
+        raise ValueError("empty sum")
+    group = symmetric_group(s.total)
+    perms = [[None] * s.total for _ in range(n)]
+    lattices = [annihilator_lattice(h) for h in s.summands]
+    for j, c, d, _, _ in _coset_translations(lattices, n):
+        perms[j][c] = d
     rep = tuple(group.index[tuple(perm)] for perm in perms)
-    return TupleClass(group, rep, p)
+    return TupleClass(group, rep, s.summands[0].p)
 
 
 @dataclass(frozen=True)
@@ -767,23 +770,16 @@ def wreath_class_to_decorated(beta: TupleClass) -> DecoratedSum:
     wreath = beta.group
     if not (wreath.structure and wreath.structure[0] == "wreath"):
         raise ValueError("wreath_class_to_decorated needs a wreath group class")
-    g, m = wreath.structure[1], wreath.structure[2]
-    n, p = beta.n, beta.p
+    g = wreath.structure[1]
     perms = [wreath.elements[i][1] for i in beta.rep]
     summands = []
-    for orbit in _perm_orbits(perms, m):
-        basis = _stabilizer_basis(perms, orbit, p, n)
-        h = subgroup_from_annihilator(p, basis)
-        x0 = orbit[0]
+    for x0, basis, h in _orbit_subgroups(perms, beta.p, beta.n):
         decoration = []
         for col in zip(*basis.matrix):
-            acc = wreath.identity
-            for j in range(n):
-                acc = wreath.mul(acc, wreath.power(beta.rep[j], int(col[j])))
-            vec, s = wreath.elements[acc]
+            vec, s = wreath.elements[_evaluate(wreath, beta.rep, col)]
             assert s[x0] == x0
             decoration.append(g.index[vec[x0]])
-        summands.append((h, TupleClass(g, tuple(decoration), p)))
+        summands.append((h, TupleClass(g, tuple(decoration), beta.p)))
     return DecoratedSum(tuple(summands))
 
 
@@ -792,37 +788,17 @@ def decorated_to_wreath_class(s: DecoratedSum, n: int) -> TupleClass:
     if not s.summands:
         raise ValueError("empty decorated sum")
     g = s.summands[0][1].group
-    p = s.summands[0][0].p
-    m = s.total
-    wreath = wreath_group(g, m)
-    perms = [[None] * m for _ in range(n)]
-    vecs = [[None] * m for _ in range(n)]
-    offset = 0
-    for h, alpha in s.summands:
-        basis = annihilator_lattice(h).matrix
-        reps = _coset_reps(basis, n)
-        pos = {r: offset + i for i, r in enumerate(reps)}
-
-        def alpha_at(vec):
-            coords = solve_integer(
-                LatticeBasis(p, basis), tuple((x,) for x in vec)
-            )
-            acc = g.identity
-            for l in range(n):
-                acc = g.mul(acc, g.power(alpha.rep[l], int(coords[l][0])))
-            return acc
-
-        for j in range(n):
-            ej = [int(j == i) for i in range(n)]
-            for r in reps:
-                target = _reduce_mod_basis(basis, [a + b for a, b in zip(r, ej)])
-                perms[j][pos[r]] = pos[target]
-                # cocycle value at position c = lam + r: alpha(r + e_j - r_target)
-                diff = [a + b - c for a, b, c in zip(r, ej, target)]
-                vecs[j][pos[target]] = g.elements[alpha_at(diff)]
-        offset += len(reps)
-    rep = []
-    for j in range(n):
-        label = (tuple(vecs[j]), tuple(perms[j]))
-        rep.append(wreath.index[label])
-    return TupleClass(wreath, tuple(rep), p)
+    wreath = wreath_group(g, s.total)
+    perms = [[None] * s.total for _ in range(n)]
+    vecs = [[None] * s.total for _ in range(n)]
+    lattices = [annihilator_lattice(h) for h, _ in s.summands]
+    for j, c, d, k, lam in _coset_translations(lattices, n):
+        perms[j][c] = d
+        # cocycle value at coset d: alpha_k at lam, in the HNF basis of Lambda_k
+        coords = solve_integer(lattices[k], tuple((x,) for x in lam))
+        alpha = s.summands[k][1]
+        vecs[j][d] = g.elements[_evaluate(g, alpha.rep, (row[0] for row in coords))]
+    rep = tuple(
+        wreath.index[(tuple(vec), tuple(perm))] for vec, perm in zip(vecs, perms)
+    )
+    return TupleClass(wreath, rep, s.summands[0][0].p)

@@ -1,5 +1,8 @@
 """Exact integer-matrix linear algebra specialized to p-local questions.
 
+Beside the Hermite and Smith forms below, ``row_reduce`` gives the reduced
+row echelon basis of rational rows (rank, membership, inverses).
+
 Matrices are immutable tuples of tuples of Python ints.  Two Hermite forms
 are used throughout the package:
 
@@ -74,25 +77,60 @@ def mat_det(a: Matrix) -> int:
 
 
 def mat_inverse_fractions(a: Matrix):
-    """Inverse as a tuple of tuples of Fractions (adjugate-free Gauss-Jordan)."""
+    """Inverse as a tuple of tuples of Fractions: [A | I] row-reduces to [I | A^-1]."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    rref = row_reduce(
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    )
+    if [_pivot(row) for row in rref] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rref)
+
+
+def _pivot(row):
+    """Index of the first nonzero entry, or None for a zero row."""
+    return next((i for i, x in enumerate(row) if x != 0), None)
+
+
+def reduce_against(row, basis):
+    """row minus its combination of the rows of a reduced echelon basis.
+
+    The result is zero exactly when row lies in the span of the basis.
+    """
+    row = list(row)
+    for b in basis:
+        c = row[_pivot(b)]
+        if c != 0:
+            row = [x - c * y for x, y in zip(row, b)]
+    return row
+
+
+def row_reduce(rows):
+    """Reduced row echelon basis of the span of rational rows, sorted by pivot.
+
+    Each basis row has a unit pivot, and zeros at the pivots of the others.
+    """
+    basis = []
+    for row in rows:
+        row = reduce_against(row, basis)
+        piv = _pivot(row)
+        if piv is None:
+            continue
+        inv = Fraction(1) / row[piv]
+        row = [x * inv for x in row]
+        basis = [
+            [x - b[piv] * y for x, y in zip(b, row)] if b[piv] != 0 else b
+            for b in basis
+        ]
+        basis.append(row)
+        basis.sort(key=_pivot)
+    return basis
 
 
 def int_valuation(x: int, p: int) -> int:
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     if x == 0:
         raise SingularMatrixError("valuation of zero")
     v = 0
@@ -118,7 +156,7 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -141,7 +179,7 @@ class PAdicMatrix:
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("entries must be square")
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
 
     @property
@@ -248,12 +286,14 @@ def _reduce_off_pivots(h):
                     row[j] -= q * row[i]
 
 
-def column_span_basis(entries) -> Matrix:
-    """Column-HNF basis (n x n, upper triangular) of the span of an n x m matrix.
+def _column_echelon(entries, n: int):
+    """Column operations putting the top n rows of a matrix in column HNF.
 
-    Raises SingularMatrixError if the columns do not span a rank-n lattice.
+    Returns every row of the n pivot columns, reduced off the pivots: the
+    HNF basis on top, and below it whatever rows were stacked under the
+    top block.  Raises SingularMatrixError if the top n rows do not have
+    full rank.
     """
-    n = len(entries)
     cols = [list(col) for col in zip(*entries)]
     active = list(range(len(cols)))
     pivots = [None] * n
@@ -262,34 +302,29 @@ def column_span_basis(entries) -> Matrix:
         if piv is None:
             raise SingularMatrixError("columns do not have full rank")
         pivots[r] = piv
-        active = [i for i in active if i != piv]
-    h = [[cols[pivots[j]][i] for j in range(n)] for i in range(n)]
+        active.remove(piv)
+    h = [list(row) for row in zip(*(cols[piv] for piv in pivots))]
     _reduce_off_pivots(h)
     return freeze(h)
+
+
+def column_span_basis(entries) -> Matrix:
+    """Column-HNF basis (n x n, upper triangular) of the span of an n x m matrix.
+
+    Raises SingularMatrixError if the columns do not span a rank-n lattice.
+    """
+    return _column_echelon(entries, len(entries))
 
 
 def hnf(entries, p: int):
     """Column Hermite normal form of a nonsingular integer matrix.
 
-    Returns (H, U) with H a LatticeBasis, U unimodular and entries . U = H.matrix.
+    Returns (H, U) with H a LatticeBasis, U unimodular and entries . U = H.matrix:
+    the column operations that reduce [A; I] to its HNF carry I to U.
     """
-    if isinstance(entries, PAdicMatrix):
-        p = entries.p
-        entries = entries.entries
     n = len(entries)
-    if mat_det(entries) == 0:
-        raise SingularMatrixError("hnf requires a nonsingular matrix")
-    cols = [list(col) + [int(i == j) for j in range(n)]
-            for i, col in enumerate(zip(*entries))]
-    active = list(range(n))
-    pivots = [None] * n
-    for r in range(n - 1, -1, -1):
-        piv = _eliminate_row(cols, active, r)
-        pivots[r] = piv
-        active = [i for i in active if i != piv]
-    full = [[cols[pivots[j]][i] for j in range(n)] for i in range(2 * n)]
-    _reduce_off_pivots(full)  # H on top, U below
-    return LatticeBasis(p, freeze(full[:n])), freeze(full[n:])
+    full = _column_echelon(tuple(entries) + identity_matrix(n), n)
+    return LatticeBasis(p, full[:n]), full[n:]
 
 
 def row_hnf(entries) -> Matrix:
@@ -328,16 +363,8 @@ def snf(m: PAdicMatrix) -> tuple:
 
     The chain d_1 | d_2 | ... | d_n is preserved.
     """
-    if mat_det(m.entries) == 0:
-        raise SingularMatrixError("snf requires a nonsingular matrix")
-    divisors = snf_divisors(m.entries)
-    return tuple(m.p ** int_valuation(d, m.p) for d in divisors)
-
-
-def snf_divisors(entries) -> tuple:
-    """Absolute elementary divisors over Z with the divisibility chain fixed up."""
-    n = len(entries)
-    a = [list(row) for row in entries]
+    n = m.n
+    a = [list(row) for row in m.entries]
 
     def improve(k):
         # clear row/column k against the pivot at (k, k)
@@ -390,12 +417,7 @@ def snf_divisors(entries) -> tuple:
                 g = gcd(d[i], d[j])
                 d[i], d[j] = g, d[i] * d[j] // g
     d.sort()
-    return tuple(d)
-
-
-def det_valuation(m: PAdicMatrix) -> int:
-    """v_p(det M); the log_p of the kernel order of the matching isogeny."""
-    return m.det_valuation()
+    return tuple(m.p ** int_valuation(x, m.p) for x in d)
 
 
 def solve_integer(basis: LatticeBasis, target) -> Matrix:

@@ -364,7 +364,8 @@ def stabilizer_commutes(op, f, m, pm, s, section) -> bool:
 
 def suite_powerops(cfg: VerifyConfig):
     p, n, level = cfg.p, cfg.n, cfg.level
-    sec = canonical_section(p, n, max_subgroup_exponent(p, cfg.max_m))
+    # the diagonal-compatibility cases below run up to m = 4 at any max_m
+    sec = canonical_section(p, n, max_subgroup_exponent(p, max(cfg.max_m, 4)))
     ms = range(1, cfg.max_m + 1)
     for spec in cfg.groups:
         g = build_group(spec)
@@ -426,7 +427,8 @@ def suite_invariance(cfg: VerifyConfig):
 
 def suite_stabilizer(cfg: VerifyConfig):
     p, n, level = cfg.p, cfg.n, cfg.level
-    sec = canonical_section(p, n, max_subgroup_exponent(p, cfg.max_m))
+    # the instances below run up to m = 3 at any max_m
+    sec = canonical_section(p, n, max_subgroup_exponent(p, max(cfg.max_m, 3)))
     rng = SplitMix64(77)
     f = random_class_function(build_group("C2"), p, n, level, seed=31)
     instances = [

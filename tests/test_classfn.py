@@ -243,7 +243,7 @@ def test_wreath_transfer_ideal_quotient_matches_single_summands():
 
 
 def test_row_reduce_rank_and_membership_fuzz():
-    from charpow.classfn import _reduce_against, _row_reduce
+    from charpow.lattice import reduce_against, row_reduce
 
     def rank_oracle(rows):
         m = [list(map(Fraction, r)) for r in rows]
@@ -269,19 +269,19 @@ def test_row_reduce_rank_and_membership_fuzz():
     for _ in range(120):
         nrows, ncols = 1 + rng.below(6), 1 + rng.below(6)
         rows = [[rng.below(7) - 3 for _ in range(ncols)] for _ in range(nrows)]
-        basis = _row_reduce([list(map(Fraction, r)) for r in rows])
+        basis = row_reduce([list(map(Fraction, r)) for r in rows])
         assert len(basis) == rank_oracle(rows)
         coeffs = [Fraction(rng.below(5) - 2) for _ in range(nrows)]
         comb = [
             sum(coeffs[i] * rows[i][j] for i in range(nrows)) for j in range(ncols)
         ]
-        assert all(x == 0 for x in _reduce_against(comb, basis))
+        assert all(x == 0 for x in reduce_against(comb, basis))
         if len(basis) < ncols:
             pivots = {next(j for j, x in enumerate(b) if x != 0) for b in basis}
             free = next(j for j in range(ncols) if j not in pivots)
             shifted = list(comb)
             shifted[free] += 1
-            assert not all(x == 0 for x in _reduce_against(shifted, basis))
+            assert not all(x == 0 for x in reduce_against(shifted, basis))
 
 
 def test_transfer_ideal_contains_constant_multiples():

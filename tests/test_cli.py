@@ -92,28 +92,79 @@ def test_level_mismatch_exit_4(capsys):
     [
         ["enumerate", "--kind", "sums", "--p", "1", "--m", "3"],
         ["powerop", "--group", "S1", "--m", "2", "--p", "1"],
+        ["enumerate", "--kind", "hom-classes", "--group", "S2", "--p", "1"],
+        ["enumerate", "--kind", "hom-classes", "--group", "S2", "--p", "4"],
     ],
 )
 def test_p_below_two_exit_2(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
-    assert err.count("\n") == 1 and "p = 1" in err
+    p = argv[argv.index("--p") + 1]
+    assert err.count("\n") == 1 and f"p = {p}" in err
 
 
-def test_section_out_of_range_exit_5(capsys, tmp_path):
-    # a hand-written section bound cannot happen through the CLI (the bound is
-    # computed from m), so exercise the error through a crafted input instead
-    from charpow.cli import _make_section
-    import argparse
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["enumerate", "--kind", "subgroups", "--n", "0"], "n"),
+        (["enumerate", "--kind", "hom-classes", "--group", "S2", "--n", "0"], "n"),
+        (["verify", "--suite", "transfers", "--n", "-1"], "n"),
+        (["powerop", "--group", "S1", "--m", "2", "--level", "0"], "level"),
+        (["powerop", "--group", "S1", "--m", "-1"], "m"),
+        (["enumerate", "--kind", "sums", "--m", "-1"], "m"),
+        (["enumerate", "--kind", "subgroups", "--k", "-1"], "k"),
+    ],
+)
+def test_parameter_below_bound_exit_2(argv, name, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} = ")
 
-    args = argparse.Namespace(section="canonical", p=2, n=2, seed=0)
-    section = _make_section(args, 0)
-    from charpow.classfn import constant_one, power_op as raw_power_op
-    from charpow.errors import SectionOutOfRangeError
 
-    f = constant_one(build_group("S1"), 2, 2, 2)
-    with pytest.raises(SectionOutOfRangeError):
-        raw_power_op(f, 2, section)
+def test_verify_stabilizer_max_m_1_exit_0(capsys):
+    # the suite runs m = 2 and 3 whatever --max-m is; its section covers them
+    code, out, _ = run(["verify", "--suite", "stabilizer", "--max-m", "1"], capsys)
+    assert code == 0
+    assert out.endswith("30/30 properties passed\n")
+
+
+def test_powerops_suite_max_m_1_reaches_multiplicative():
+    # the multiplicative cases run m = 2 and 3 whatever max_m is; the whole
+    # suite is slow, so run it lazily up to its first multiplicative record
+    from itertools import islice
+
+    from charpow.verify import VerifyConfig, suite_powerops
+
+    records = suite_powerops(VerifyConfig(max_m=1, groups=("S1",)))
+    for name, params, ok in islice(records, 10):
+        assert ok, (name, params)
+        if name == "multiplicative":
+            break
+    else:
+        pytest.fail("no multiplicative record among the first ten")
+
+
+def test_readme_command_lines_parse():
+    # every example under "Command line" in the README must use only live flags
+    import re
+    import shlex
+    from pathlib import Path
+
+    from charpow.cli import _build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [
+        shlex.split(line) for line in block.splitlines() if line.startswith("charpow ")
+    ]
+    assert len(commands) >= 8
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}")
 
 
 def test_powerop_m1_output_equals_input_values(capsys):

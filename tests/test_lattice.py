@@ -9,7 +9,6 @@ from charpow.lattice import (
     LatticeBasis,
     PAdicMatrix,
     column_span_basis,
-    det_valuation,
     hnf,
     in_lattice,
     mat_det,
@@ -157,18 +156,18 @@ def test_snf_divisibility_chain(m):
 
 
 def test_det_valuation_examples():
-    assert det_valuation(PAdicMatrix(2, ((1, 0), (0, 1)))) == 0
-    assert det_valuation(PAdicMatrix(2, ((1, 0), (0, 2)))) == 1
-    assert det_valuation(PAdicMatrix(2, ((2, 2), (0, 2)))) == 2
+    assert PAdicMatrix(2, ((1, 0), (0, 1))).det_valuation() == 0
+    assert PAdicMatrix(2, ((1, 0), (0, 2))).det_valuation() == 1
+    assert PAdicMatrix(2, ((2, 2), (0, 2))).det_valuation() == 2
     with pytest.raises(SingularMatrixError):
-        det_valuation(PAdicMatrix(2, ((1, 1), (1, 1))))
+        PAdicMatrix(2, ((1, 1), (1, 1))).det_valuation()
 
 
 @settings(max_examples=50)
 @given(nonsingular(2), nonsingular(2))
 def test_det_valuation_additive(a, b):
     pa, pb = PAdicMatrix(2, a), PAdicMatrix(2, b)
-    assert det_valuation(pa.mul(pb)) == det_valuation(pa) + det_valuation(pb)
+    assert pa.mul(pb).det_valuation() == pa.det_valuation() + pb.det_valuation()
 
 
 def test_solve_integer_identity_and_scaled():
@@ -214,7 +213,7 @@ def test_supported_envelope_n4_p12():
         (0, 0, 0, 1),
     )
     pm = PAdicMatrix(2, m)
-    assert det_valuation(pm) == 12
+    assert pm.det_valuation() == 12
     h, u = hnf(m, 2)
     assert mat_mul(m, u) == h.matrix
     assert h.index() == 4096
