@@ -23,6 +23,7 @@ from .errors import (
     NoUnitCoefficientError,
     SectionOutOfRangeError,
     SingularMatrixError,
+    TableTooLargeError,
 )
 from .lattice import LatticeBasis, PAdicMatrix, hnf, snf, solve_integer
 from .torsion import (

@@ -20,11 +20,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import LevelMismatchError, NotASubgroupError, SectionOutOfRangeError
+from .errors import (
+    LevelMismatchError,
+    NotASubgroupError,
+    SectionOutOfRangeError,
+    TableTooLargeError,
+)
 from .groups import (
     FiniteGroup,
     Homomorphism,
     TupleClass,
+    build_group,
+    canonical_tuple,
+    delta_embed,
     enumerate_hom_classes,
     fixed_coset_conjugates,
     precompose,
@@ -33,6 +41,7 @@ from .groups import (
     symm_class_to_sum,
     symmetric_group,
     wreath_class_to_decorated,
+    wreath_delta_embed,
     wreath_group,
 )
 from .isogeny import Isogeny, Section, psi_dual
@@ -40,51 +49,56 @@ from .lattice import PAdicMatrix, mat_det, mat_transpose, reduce_against, row_re
 from .rng import SplitMix64, random_fraction
 from .torsion import max_subgroup_exponent
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+TABLE_CAP = 65_536
+
+
+def _table_size(p, n, level) -> int:
+    """Entries of a level-N table, one per matrix in M_n(Z/p^level), within TABLE_CAP."""
+    size = (p ** level) ** (n * n)
+    if size > TABLE_CAP:
+        raise TableTooLargeError(
+            f"coefficient table at p = {p}, n = {n}, level = {level} would have "
+            f"{size} entries > TABLE_CAP = {TABLE_CAP}"
+        )
+    return size
 
 
 @lru_cache(maxsize=None)
 def matrix_space(p: int, level: int, n: int):
     """All n x n matrices mod p^level, flattened row-major, lexicographic."""
+    _table_size(p, n, level)
+    mats = tuple(itertools.product(range(p ** level), repeat=n * n))
+    return mats, {m: i for i, m in enumerate(mats)}
+
+
+def _translation_perm(p, level, n, a_flat, on_left):
+    """perm[t] = index of A . xi_t (on_left) or xi_t . A, mod p^level."""
     q = p ** level
-    mats = tuple(itertools.product(range(q), repeat=n * n))
-    index = {m: i for i, m in enumerate(mats)}
-    return mats, index
+    mats, index = matrix_space(p, level, n)
+    a = [[x % q for x in a_flat[i * n:(i + 1) * n]] for i in range(n)]
+    perm = []
+    for flat in mats:
+        xi = [flat[i * n:(i + 1) * n] for i in range(n)]
+        x, y = (a, xi) if on_left else (xi, a)
+        prod = tuple(
+            sum(x[i][k] * y[k][j] for k in range(n)) % q
+            for i in range(n)
+            for j in range(n)
+        )
+        perm.append(index[prod])
+    return tuple(perm)
 
 
 @lru_cache(maxsize=None)
 def _left_translation_perm(p, level, n, a_flat):
     """perm[t] = index of (A . xi_t) mod p^level."""
-    q = p ** level
-    mats, index = matrix_space(p, level, n)
-    a = [[a_flat[i * n + j] % q for j in range(n)] for i in range(n)]
-    perm = []
-    for flat in mats:
-        prod = tuple(
-            sum(a[i][k] * flat[k * n + j] for k in range(n)) % q
-            for i in range(n)
-            for j in range(n)
-        )
-        perm.append(index[prod])
-    return tuple(perm)
+    return _translation_perm(p, level, n, a_flat, on_left=True)
 
 
 @lru_cache(maxsize=None)
 def _right_translation_perm(p, level, n, s_flat):
     """perm[t] = index of (xi_t . S) mod p^level."""
-    q = p ** level
-    mats, index = matrix_space(p, level, n)
-    s = [[s_flat[i * n + j] % q for j in range(n)] for i in range(n)]
-    perm = []
-    for flat in mats:
-        prod = tuple(
-            sum(flat[i * n + k] * s[k][j] for k in range(n)) % q
-            for i in range(n)
-            for j in range(n)
-        )
-        perm.append(index[prod])
-    return tuple(perm)
+    return _translation_perm(p, level, n, s_flat, on_left=False)
 
 
 def _flatten(entries):
@@ -93,7 +107,10 @@ def _flatten(entries):
 
 @dataclass(frozen=True)
 class C0Element:
-    """Rational-valued function on M_n(Z/p^level), the level-N coefficient model."""
+    """Rational-valued function on M_n(Z/p^level), the level-N coefficient model.
+
+    Entries are ints or Fractions and are stored as given, never converted.
+    """
 
     p: int
     n: int
@@ -101,13 +118,15 @@ class C0Element:
     values: tuple
 
     def __post_init__(self):
-        size = (self.p ** self.level) ** (self.n * self.n)
-        vals = tuple(Fraction(v) for v in self.values)
-        if len(vals) != size:
-            raise LevelMismatchError(
-                f"table must have {size} entries, got {len(vals)}"
-            )
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(self.values))  # a tuple is kept as is
+        size = _table_size(self.p, self.n, self.level)
+        if len(self.values) != size:
+            raise LevelMismatchError(f"table must have {size} entries, got {len(self.values)}")
+        for kind in set(map(type, self.values)):
+            if not issubclass(kind, (int, Fraction)):
+                raise TypeError(
+                    f"table entries must be int or Fraction, got {kind.__name__}"
+                )
 
     def _like(self, values):
         return C0Element(self.p, self.n, self.level, tuple(values))
@@ -150,34 +169,22 @@ class C0Element:
             raise LevelMismatchError("coefficient tables live at different levels")
 
 
-def c0_zero(p, n, level) -> C0Element:
-    size = (p ** level) ** (n * n)
-    return C0Element(p, n, level, (ZERO,) * size)
-
-
-def c0_one(p, n, level) -> C0Element:
-    size = (p ** level) ** (n * n)
-    return C0Element(p, n, level, (ONE,) * size)
-
-
 def c0_constant(p, n, level, c) -> C0Element:
-    size = (p ** level) ** (n * n)
-    return C0Element(p, n, level, (Fraction(c),) * size)
+    return C0Element(p, n, level, (c,) * _table_size(p, n, level))
 
 
 def c0_coordinate(p, n, level) -> C0Element:
     """The function xi -> its enumeration index; a convenient exact generator."""
-    size = (p ** level) ** (n * n)
-    return C0Element(p, n, level, tuple(Fraction(t) for t in range(size)))
+    return C0Element(p, n, level, tuple(range(_table_size(p, n, level))))
 
 
 def c0_delta(p, n, level, t: int) -> C0Element:
-    size = (p ** level) ** (n * n)
-    return C0Element(p, n, level, tuple(ONE if i == t else ZERO for i in range(size)))
+    size = _table_size(p, n, level)
+    return C0Element(p, n, level, tuple(int(i == t) for i in range(size)))
 
 
 def c0_random(p, n, level, rng: SplitMix64) -> C0Element:
-    size = (p ** level) ** (n * n)
+    size = _table_size(p, n, level)
     return C0Element(p, n, level, tuple(random_fraction(rng) for _ in range(size)))
 
 
@@ -206,6 +213,12 @@ def random_stabilizer(p, n, level, rng: SplitMix64) -> StabilizerElement:
             return StabilizerElement(p, n, level, ent)
 
 
+@lru_cache(maxsize=None)
+def _class_positions(group: FiniteGroup, n: int, p: int):
+    """Position of each canonical tuple-class representative in the class order."""
+    return {c.rep: i for i, c in enumerate(enumerate_hom_classes(group, n, p))}
+
+
 class ClassFunction:
     """Sparse map from tuple classes of a group to coefficient tables."""
 
@@ -216,7 +229,7 @@ class ClassFunction:
         self.p = p
         self.n = n
         self.level = level
-        keys = {c.rep for c in enumerate_hom_classes(group, n, p)}
+        keys = _class_positions(group, n, p)
         table = {}
         for rep, val in values.items():
             rep = tuple(int(x) for x in rep)
@@ -235,10 +248,8 @@ class ClassFunction:
         if isinstance(key, TupleClass):
             rep = key.rep  # already canonical
         else:
-            from .groups import canonical_tuple
-
             rep = canonical_tuple(self.group, tuple(key))
-        return self.values.get(rep) or c0_zero(self.p, self.n, self.level)
+        return self.values.get(rep) or c0_constant(self.p, self.n, self.level, 0)
 
     def _like(self, values) -> "ClassFunction":
         return ClassFunction(self.group, self.p, self.n, self.level, values)
@@ -291,33 +302,23 @@ class ClassFunction:
 
 
 def constant_one(group, p, n, level) -> ClassFunction:
-    one = c0_one(p, n, level)
-    return ClassFunction(
-        group, p, n, level,
-        {c.rep: one for c in enumerate_hom_classes(group, n, p)},
-    )
+    return constant_value(group, p, n, level, c0_constant(p, n, level, 1))
 
 
 def constant_value(group, p, n, level, c0: C0Element) -> ClassFunction:
-    return ClassFunction(
-        group, p, n, level,
-        {c.rep: c0 for c in enumerate_hom_classes(group, n, p)},
-    )
+    return ClassFunction(group, p, n, level, dict.fromkeys(_class_positions(group, n, p), c0))
 
 
 def indicator(cls: TupleClass, level: int, c0: C0Element = None) -> ClassFunction:
-    value = c0 if c0 is not None else c0_one(cls.p, cls.n, level)
-    return ClassFunction(
-        cls.group, cls.p, cls.n, level, {cls.rep: value}
-    )
+    value = c0 if c0 is not None else c0_constant(cls.p, cls.n, level, 1)
+    return ClassFunction(cls.group, cls.p, cls.n, level, {cls.rep: value})
 
 
 def random_class_function(group, p, n, level, seed: int) -> ClassFunction:
     rng = SplitMix64(seed)
     return ClassFunction(
         group, p, n, level,
-        {c.rep: c0_random(p, n, level, rng)
-         for c in enumerate_hom_classes(group, n, p)},
+        {rep: c0_random(p, n, level, rng) for rep in _class_positions(group, n, p)},
     )
 
 
@@ -366,13 +367,9 @@ def aut_act(f: ClassFunction, gamma: PAdicMatrix) -> ClassFunction:
 @lru_cache(maxsize=None)
 def general_linear_residues(p: int, level: int, n: int):
     """All invertible n x n matrices mod p^level (invertibility = unit det mod p)."""
-    q = p ** level
-    out = []
-    for flat in itertools.product(range(q), repeat=n * n):
-        mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if mat_det(mat) % p != 0:
-            out.append(mat)
-    return tuple(out)
+    mats = matrix_space(p, level, n)[0]
+    rows = (tuple(flat[i * n:(i + 1) * n] for i in range(n)) for flat in mats)
+    return tuple(mat for mat in rows if mat_det(mat) % p != 0)
 
 
 def average(f: ClassFunction) -> ClassFunction:
@@ -454,7 +451,7 @@ def transfer(f: ClassFunction, iota: Homomorphism) -> ClassFunction:
     big = iota.target
     out = {}
     for cls in enumerate_hom_classes(big, f.n, f.p):
-        total = c0_zero(f.p, f.n, f.level)
+        total = c0_constant(f.p, f.n, f.level, 0)
         for src_rep, count in transfer_counts(iota, cls).items():
             val = f.value_at(src_rep)
             if not val.is_zero():
@@ -468,7 +465,11 @@ def transfer(f: ClassFunction, iota: Homomorphism) -> ClassFunction:
 # power operations
 
 
-def _section_check(f: ClassFunction, m: int, section: Section):
+def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
+    """At each class of the target: prod over (H, alpha) of f([alpha . dual(phi_H)]) . phi_H.
+
+    Checks the section bound before the target group is built, then the level.
+    """
     if (section.p, section.n) != (f.p, f.n):
         raise LevelMismatchError("section parameters do not match")
     need = max_subgroup_exponent(f.p, m)
@@ -476,45 +477,41 @@ def _section_check(f: ClassFunction, m: int, section: Section):
         raise SectionOutOfRangeError(
             f"power operation with m={m} needs section bound >= {need}"
         )
+    target = make_target()
+    _require_level_covers(target, f.p, f.level)
+    one = c0_constant(f.p, f.n, f.level, 1)
+    out = {}
+    for cls in enumerate_hom_classes(target, f.n, f.p):
+        val = one
+        for h, alpha in summands(cls):
+            phi = section.isogeny_for(h)
+            val = val.mul(f.value_at(precompose(alpha, dual(phi))).act_isogeny(phi))
+            if val.is_zero():
+                break
+        if not val.is_zero():
+            out[cls.rep] = val
+    return ClassFunction(target, f.p, f.n, f.level, out)
+
+
+def _symmetric_summands(cls: TupleClass):
+    alpha, tau = split_product_class(cls)
+    return [(h, alpha) for h in symm_class_to_sum(tau).summands]
 
 
 def power_op(f: ClassFunction, m: int, section: Section) -> ClassFunction:
     """P_m for the given section: ([alpha], +H_i) -> prod_i f([alpha phi_{H_i}^*]) . phi_{H_i}."""
-    _section_check(f, m, section)
-    target = product_group(f.group, symmetric_group(m))
-    _require_level_covers(target, f.p, f.level)
-    out = {}
-    for cls in enumerate_hom_classes(target, f.n, f.p):
-        alpha, tau = split_product_class(cls)
-        val = c0_one(f.p, f.n, f.level)
-        for h in symm_class_to_sum(tau).summands:
-            phi = section.isogeny_for(h)
-            pulled = precompose(alpha, mat_transpose(phi.matrix.entries))
-            val = val.mul(f.value_at(pulled).act_isogeny(phi))
-            if val.is_zero():
-                break
-        if not val.is_zero():
-            out[cls.rep] = val
-    return ClassFunction(target, f.p, f.n, f.level, out)
+    return _power_product(
+        f, m, section, lambda: product_group(f.group, symmetric_group(m)),
+        _symmetric_summands, lambda phi: mat_transpose(phi.matrix.entries),
+    )
 
 
 def total_power_op(f: ClassFunction, m: int, section: Section) -> ClassFunction:
     """The wreath-product refinement of power_op, using the psi-dual per summand."""
-    _section_check(f, m, section)
-    target = wreath_group(f.group, m)
-    _require_level_covers(target, f.p, f.level)
-    out = {}
-    for cls in enumerate_hom_classes(target, f.n, f.p):
-        val = c0_one(f.p, f.n, f.level)
-        for h, alpha in wreath_class_to_decorated(cls).summands:
-            phi = section.isogeny_for(h)
-            pulled = precompose(alpha, psi_dual(phi))
-            val = val.mul(f.value_at(pulled).act_isogeny(phi))
-            if val.is_zero():
-                break
-        if not val.is_zero():
-            out[cls.rep] = val
-    return ClassFunction(target, f.p, f.n, f.level, out)
+    return _power_product(
+        f, m, section, lambda: wreath_group(f.group, m),
+        lambda cls: wreath_class_to_decorated(cls).summands, psi_dual,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +526,7 @@ class TransferIdeal:
         self.p = p
         self.n = n
         self.level = level
-        self.keys = tuple(c.rep for c in enumerate_hom_classes(group, n, p))
+        self.keys = tuple(_class_positions(group, n, p))
         self.generators = tuple(generators)  # integer vectors over self.keys
         self._rref = row_reduce([list(map(Fraction, g)) for g in self.generators])
 
@@ -546,12 +543,10 @@ class TransferIdeal:
 
     def contains(self, f: ClassFunction) -> bool:
         """Membership for a C0-valued function: every evaluation column must lie in the span."""
-        size = (f.p ** f.level) ** (f.n * f.n)
-        for t in range(size):
-            vec = [f.value_at(rep).values[t] for rep in self.keys]
-            if not self.contains_vector(vec):
-                return False
-        return True
+        return all(
+            self.contains_vector([f.value_at(rep).values[t] for rep in self.keys])
+            for t in range(_table_size(f.p, f.n, f.level))
+        )
 
 
 def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
@@ -560,8 +555,6 @@ def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
     With g None this is the ideal in Cl_n(S_m); otherwise the wreath version
     in Cl_n(G wr S_m).
     """
-    from .groups import delta_embed, wreath_delta_embed
-
     if m < 2:
         raise ValueError("transfer ideal needs m >= 2")
     if g is None or (g.structure and g.structure == ("symmetric", 1)):
@@ -570,12 +563,10 @@ def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
     else:
         target = wreath_group(g, m)
         embeds = [wreath_delta_embed(g, i, m - i) for i in range(1, m)]
-    keys = tuple(c.rep for c in enumerate_hom_classes(target, n, p))
-    keypos = {rep: i for i, rep in enumerate(keys)}
+    keypos = _class_positions(target, n, p)
     gens = []
     for iota in embeds:
-        source_classes = enumerate_hom_classes(iota.source, n, p)
-        columns = {src.rep: [0] * len(keys) for src in source_classes}
+        columns = {rep: [0] * len(keypos) for rep in _class_positions(iota.source, n, p)}
         for cls in enumerate_hom_classes(target, n, p):
             for src_rep, count in transfer_counts(iota, cls).items():
                 columns[src_rep][keypos[cls.rep]] += count
@@ -585,10 +576,6 @@ def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -603,21 +590,18 @@ def to_json_dict(f: ClassFunction) -> dict:
         "level": f.level,
         "group": f.group.name,
         "classes": [
-            {"rep": list(rep), "value": [_fraction_str(v) for v in val.values]}
+            {"rep": list(rep), "value": [f"{v.numerator}/{v.denominator}" for v in val.values]}
             for rep, val in sorted(f.values.items())
         ],
     }
 
 
 def from_json_dict(data: dict) -> ClassFunction:
-    from .groups import build_group
-
     group = build_group(data["group"])
     p, n, level = int(data["p"]), int(data["n"]), int(data["level"])
-    values = {}
-    for entry in data["classes"]:
-        rep = tuple(int(x) for x in entry["rep"])
-        values[rep] = C0Element(
-            p, n, level, tuple(_parse_fraction(s) for s in entry["value"])
-        )
+    values = {
+        tuple(int(x) for x in entry["rep"]):
+            C0Element(p, n, level, tuple(map(_parse_fraction, entry["value"])))
+        for entry in data["classes"]
+    }
     return ClassFunction(group, p, n, level, values)

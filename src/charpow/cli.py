@@ -16,9 +16,9 @@ import sys
 
 from .classfn import (
     ClassFunction,
+    c0_constant,
     c0_coordinate,
     c0_delta,
-    c0_one,
     constant_value,
     from_json_dict,
     power_op,
@@ -30,6 +30,7 @@ from .errors import (
     GroupTooLargeError,
     LevelMismatchError,
     SectionOutOfRangeError,
+    TableTooLargeError,
 )
 from .groups import (
     build_group,
@@ -151,7 +152,7 @@ def cmd_enumerate(args) -> int:
 
 def _builtin_generator(name: str, group, p, n, level) -> ClassFunction:
     if name == "one":
-        return constant_value(group, p, n, level, c0_one(p, n, level))
+        return constant_value(group, p, n, level, c0_constant(p, n, level, 1))
     if name == "coord":
         return constant_value(group, p, n, level, c0_coordinate(p, n, level))
     if name.startswith("delta:"):
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return args.func(args)
-    except GroupTooLargeError as exc:
+    except (GroupTooLargeError, TableTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except LevelMismatchError as exc:

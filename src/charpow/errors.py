@@ -21,6 +21,10 @@ class GroupTooLargeError(CharpowError):
     """A group construction exceeds the supported order cap."""
 
 
+class TableTooLargeError(CharpowError):
+    """A coefficient table would exceed the supported entry cap."""
+
+
 class NotPPowerTupleError(CharpowError):
     """A tuple contains an element whose order is not a power of p."""
 

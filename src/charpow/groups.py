@@ -26,6 +26,7 @@ from .lattice import (
     column_span_basis,
     int_valuation,
     is_p_power,
+    is_prime,
     solve_integer,
 )
 from .rng import SplitMix64
@@ -444,6 +445,8 @@ def enumerate_hom_classes(group: FiniteGroup, n: int, p: int):
     key = (n, p)
     if key in group._hom_classes:
         return group._hom_classes[key]
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     ppow = group.p_power_elements(p)
     # first coordinate only needs one representative per conjugacy class
     reps, seen = [], set()

@@ -27,6 +27,7 @@ from .lattice import (
     identity_matrix,
     int_valuation,
     is_p_power,
+    is_prime,
     mat_inverse_fractions,
     mat_transpose,
     row_hnf,
@@ -155,6 +156,8 @@ def enumerate_subgroups(p: int, n: int, k: int):
     Row-HNF matrices with p-power diagonal biject with subgroups; the list
     is sorted lexicographically on the matrix entries.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     out = []
     for exps in _compositions(k, n):
         diag = [p ** e for e in exps]

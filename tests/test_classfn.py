@@ -11,10 +11,11 @@ from charpow.classfn import (
     act_by_residue,
     aut_act,
     average,
+    _left_translation_perm,
+    _right_translation_perm,
+    c0_constant,
     c0_coordinate,
     c0_delta,
-    c0_one,
-    c0_zero,
     constant_one,
     constant_value,
     from_json_dict,
@@ -35,6 +36,7 @@ from charpow.classfn import (
 from charpow.errors import (
     LevelMismatchError,
     SectionOutOfRangeError,
+    TableTooLargeError,
 )
 from charpow.groups import (
     Homomorphism,
@@ -95,7 +97,7 @@ def test_gl_size():
 
 
 def test_c0_ring_ops():
-    one = c0_one(2, 1, 2)
+    one = c0_constant(2, 1, 2, 1)
     coord = c0_coordinate(2, 1, 2)
     assert coord.values == (0, 1, 2, 3)
     assert one.mul(coord) == coord
@@ -110,9 +112,54 @@ def test_c0_isogeny_action_is_ring_hom():
     a = c0_coordinate(2, 1, 2)
     b = c0_delta(2, 1, 2, 1)
     assert a.mul(b).act_isogeny(phi) == a.act_isogeny(phi).mul(b.act_isogeny(phi))
-    assert c0_one(2, 1, 2).act_isogeny(phi) == c0_one(2, 1, 2)
+    assert c0_constant(2, 1, 2, 1).act_isogeny(phi) == c0_constant(2, 1, 2, 1)
     # (c . [2])(xi) = c(2 xi mod 4)
     assert a.act_isogeny(phi).values == (0, 2, 0, 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_c0_rejects_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        C0Element(2, 1, 1, (0, bad))
+
+
+def test_c0_int_table_equals_fraction_table(s3):
+    ints = C0Element(2, 1, 2, (0, 1, 2, 3))
+    fracs = C0Element(2, 1, 2, tuple(Fraction(k) for k in range(4)))
+    assert ints == fracs
+    blobs = {
+        json.dumps(to_json_dict(constant_value(s3, 2, 1, 2, c)), sort_keys=True)
+        for c in (ints, fracs)
+    }
+    assert len(blobs) == 1
+    assert '"value": ["0/1", "1/1", "2/1", "3/1"]' in blobs.pop()
+
+
+def test_table_cap_checked_before_allocation():
+    with pytest.raises(TableTooLargeError, match="134217728 entries > TABLE_CAP = 65536"):
+        matrix_space(2, 3, 3)
+    with pytest.raises(TableTooLargeError):
+        general_linear_residues(2, 3, 3)
+    with pytest.raises(TableTooLargeError):
+        c0_constant(2, 3, 3, 0)
+
+
+@pytest.mark.parametrize("a", [((1, 2), (3, 1)), ((2, 0), (1, 2)), ((5, 7), (6, 3))])
+def test_translation_perms_match_matrix_products(a):
+    # Oracle: direct 2x2 matrix products mod 4 over all of M_2(Z/4).
+    def times(x, y):
+        return tuple(
+            sum(x[i][k] * y[k][j] for k in range(2)) % 4 for i in range(2) for j in range(2)
+        )
+
+    mats, _ = matrix_space(2, 2, 2)
+    flat = tuple(x for row in a for x in row)
+    left = _left_translation_perm(2, 2, 2, flat)
+    right = _right_translation_perm(2, 2, 2, flat)
+    for t, m in enumerate(mats):
+        xi = (m[:2], m[2:])
+        assert mats[left[t]] == times(a, xi)
+        assert mats[right[t]] == times(xi, a)
 
 
 def test_c0_left_right_actions_commute():
@@ -127,13 +174,13 @@ def test_c0_left_right_actions_commute():
 
 def test_class_function_rejects_bad_keys(s3):
     with pytest.raises(ValueError):
-        ClassFunction(s3, P, N, LEVEL, {(5, 5): c0_one(P, N, LEVEL)})
+        ClassFunction(s3, P, N, LEVEL, {(5, 5): c0_constant(P, N, LEVEL, 1)})
 
 
 def test_class_function_zero_normalization(s3):
     f = ClassFunction(
         s3, P, N, LEVEL,
-        {enumerate_hom_classes(s3, N, P)[0].rep: c0_zero(P, N, LEVEL)},
+        {enumerate_hom_classes(s3, N, P)[0].rep: c0_constant(P, N, LEVEL, 0)},
     )
     assert f == ClassFunction(s3, P, N, LEVEL, {})
 
@@ -472,11 +519,15 @@ def test_stabilizer_commutation(s3, section):
     assert stabilizer_act(one, s) == one
 
 
-def test_section_out_of_range(s3):
+@pytest.mark.parametrize(
+    "op", [power_op, total_power_op], ids=["power_op", "total_power_op"]
+)
+@pytest.mark.parametrize("m", [4, 8])  # S3 x S8 and S3 wr S8 exceed ORDER_CAP
+def test_section_out_of_range(s3, m, op):
     small = canonical_section(P, N, 1)
     f = random_class_function(s3, P, N, LEVEL, seed=20)
     with pytest.raises(SectionOutOfRangeError):
-        power_op(f, 4, small)
+        op(f, m, small)
 
 
 def test_serialization_roundtrip(s3, section):

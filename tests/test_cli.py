@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,18 @@ def test_p_below_two_exit_2(argv, capsys):
     assert code == 2
     p = argv[argv.index("--p") + 1]
     assert err.count("\n") == 1 and f"p = {p}" in err
+
+
+def test_table_above_cap_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        ["powerop", "--group", "S1", "--m", "2", "--n", "3", "--level", "3"], capsys
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "134217728 entries" in err and "65536" in err
 
 
 @pytest.mark.parametrize(

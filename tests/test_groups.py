@@ -86,6 +86,12 @@ def test_trivial_group_classes():
     assert len(enumerate_hom_classes(g, 2, 2)) == 1
 
 
+@pytest.mark.parametrize("p", [4, 1])
+def test_hom_classes_reject_non_prime_p(p):
+    with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+        enumerate_hom_classes(build_group("S2"), 2, p)
+
+
 def test_c2_classes():
     g = build_group("C2")
     assert len(enumerate_hom_classes(g, 1, 2)) == 2

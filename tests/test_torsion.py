@@ -73,6 +73,17 @@ def test_subgroup_counts_against_bruteforce(p, k, count):
     assert {subgroup_to_elements(h, p ** k) for h in subs} == oracle
 
 
+@pytest.mark.parametrize("p", [4, 1])
+def test_subgroups_reject_non_prime_p(p):
+    with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+        enumerate_subgroups(p, 2, 1)
+
+
+def test_sums_reject_composite_p():
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        enumerate_sums(4, 1, 4)
+
+
 def test_subgroups_are_duplicate_free_and_sorted():
     subs = enumerate_subgroups(2, 2, 2)
     assert len(set(subs)) == len(subs)
