@@ -16,6 +16,7 @@ to serve both.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -364,27 +365,89 @@ def aut_act(f: ClassFunction, gamma: PAdicMatrix) -> ClassFunction:
     return act_by_residue(f, gamma.entries)
 
 
+def _gl_generators(p, level, n):
+    """Generators of GL_n(Z/p^level): the transvections 1 + E_ij (i != j) and
+    diag(u, 1, ..., 1) for each unit u != 1.
+
+    Over a local ring the elementary matrices E_ij(r) = E_ij(1)^r generate
+    SL_n, and diag(det, 1, ..., 1) supplies the rest.
+    """
+
+    def identity_but(cells):
+        return tuple(
+            tuple(cells.get((i, j), int(i == j)) for j in range(n)) for i in range(n)
+        )
+
+    return [identity_but({ij: 1}) for ij in itertools.permutations(range(n), 2)] + [
+        identity_but({(0, 0): u}) for u in range(2, p ** level) if u % p
+    ]
+
+
 @lru_cache(maxsize=None)
-def general_linear_residues(p: int, level: int, n: int):
-    """All invertible n x n matrices mod p^level (invertibility = unit det mod p)."""
-    mats = matrix_space(p, level, n)[0]
-    rows = (tuple(flat[i * n:(i + 1) * n] for i in range(n)) for flat in mats)
-    return tuple(mat for mat in rows if mat_det(mat) % p != 0)
+def _orbits(group: FiniteGroup, n: int, p: int, level: int):
+    """Orbits of GL_n(Z/p^level) on the pairs (class position c, table index t).
+
+    A pair is numbered c * size + t.  Returns the orbit label of each pair
+    and the size of each orbit.  A generator g sends (c, t) to the pair that
+    act_by_residue reads: (pos of [alpha_c g^T], perm_g[t]).
+    """
+    classes = enumerate_hom_classes(group, n, p)
+    pos = _class_positions(group, n, p)
+    size = _table_size(p, n, level)
+    parent = list(range(len(classes) * size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in _gl_generators(p, level, n):
+        perm = _left_translation_perm(p, level, n, _flatten(g))
+        tr = mat_transpose(g)
+        for c, cls in enumerate(classes):
+            start, image = c * size, pos[precompose(cls, tr).rep] * size
+            for t in range(size):
+                a, b = find(start + t), find(image + perm[t])
+                if a != b:
+                    parent[a] = b
+    labels = tuple(find(x) for x in range(len(parent)))
+    return labels, Counter(labels)
 
 
 def average(f: ClassFunction) -> ClassFunction:
-    """Projection onto invariant class functions: average over GL_n(Z/p^level)."""
-    gl = general_linear_residues(f.p, f.level, f.n)
-    total = None
-    for gbar in gl:
-        moved = act_by_residue(f, gbar)
-        total = moved if total is None else total.add(moved)
-    return total.scale(Fraction(1, len(gl)))
+    """Projection onto invariant class functions, the mean of f . g over GL_n(Z/p^level).
+
+    Computed as a mean over orbits: the value at a pair (class, xi) is the
+    mean of f over the GL-orbit of that pair, taken over every class,
+    including those where f is zero.  This equals (1/|GL|) sum_g f . g,
+    since g -> x . g covers the orbit of x |Stab(x)| times.
+    """
+    _require_level_covers(f.group, f.p, f.level)
+    labels, counts = _orbits(f.group, f.n, f.p, f.level)
+    size = _table_size(f.p, f.n, f.level)
+    pos = _class_positions(f.group, f.n, f.p)
+    sums = dict.fromkeys(counts, 0)
+    for rep, val in f.values.items():
+        start = pos[rep] * size
+        for label, v in zip(labels[start:start + size], val.values):
+            sums[label] += v
+    return f._like({
+        rep: C0Element(f.p, f.n, f.level, tuple(
+            Fraction(sums[label], counts[label])
+            for label in labels[c * size:(c + 1) * size]
+        ))
+        for rep, c in pos.items()
+    })
 
 
 def is_invariant(f: ClassFunction) -> bool:
-    gl = general_linear_residues(f.p, f.level, f.n)
-    return all(act_by_residue(f, gbar) == f for gbar in gl)
+    """f . g == f for every g in GL_n(Z/p^level), checked on its generators.
+
+    This suffices because act_by_residue is a right action: (f . g) . h = f . (gh).
+    """
+    _require_level_covers(f.group, f.p, f.level)
+    return all(act_by_residue(f, g) == f for g in _gl_generators(f.p, f.level, f.n))
 
 
 def stabilizer_act(f: ClassFunction, s: StabilizerElement) -> ClassFunction:
@@ -542,11 +605,12 @@ class TransferIdeal:
         return all(x == 0 for x in row)
 
     def contains(self, f: ClassFunction) -> bool:
-        """Membership for a C0-valued function: every evaluation column must lie in the span."""
-        return all(
-            self.contains_vector([f.value_at(rep).values[t] for rep in self.keys])
-            for t in range(_table_size(f.p, f.n, f.level))
-        )
+        """Membership for a C0-valued function: every evaluation column must lie in the span.
+
+        Each key's table is read once; equal columns are checked once.
+        """
+        tables = [f.value_at(rep).values for rep in self.keys]
+        return all(self.contains_vector(column) for column in set(zip(*tables)))
 
 
 def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):

@@ -11,6 +11,7 @@ from charpow.classfn import (
     act_by_residue,
     aut_act,
     average,
+    _gl_generators,
     _left_translation_perm,
     _right_translation_perm,
     c0_constant,
@@ -19,7 +20,6 @@ from charpow.classfn import (
     constant_one,
     constant_value,
     from_json_dict,
-    general_linear_residues,
     indicator,
     is_invariant,
     matrix_space,
@@ -50,7 +50,7 @@ from charpow.groups import (
     wreath_class_to_decorated,
 )
 from charpow.isogeny import canonical_section, random_section
-from charpow.lattice import PAdicMatrix
+from charpow.lattice import PAdicMatrix, mat_det
 from charpow.rng import SplitMix64
 from charpow.torsion import enumerate_subgroups
 from charpow.verify import (
@@ -84,6 +84,13 @@ def section():
     return canonical_section(P, N, 2)
 
 
+def general_linear_residues(p, level, n):
+    """Oracle: every invertible n x n matrix mod p^level, by a scan of M_n(Z/p^level)."""
+    mats = matrix_space(p, level, n)[0]
+    rows = (tuple(flat[i * n:(i + 1) * n] for i in range(n)) for flat in mats)
+    return tuple(mat for mat in rows if mat_det(mat) % p != 0)
+
+
 def test_matrix_space_size():
     mats, index = matrix_space(2, 2, 2)
     assert len(mats) == 256
@@ -94,6 +101,32 @@ def test_gl_size():
     assert len(general_linear_residues(2, 2, 2)) == 96
     assert general_linear_residues(2, 2, 1) == (((1,),), ((3,),))
     assert len(general_linear_residues(3, 1, 1)) == 2
+
+
+@pytest.mark.parametrize(
+    "p, level, n",
+    [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1), (3, 2, 1),
+     (2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 3, 2)],
+)
+def test_gl_generators_generate(p, level, n):
+    # closure of the generators under multiplication, from the identity; at
+    # (2, 1, 1) the set is empty and GL is trivial
+    q = p ** level
+
+    def times(x, y):
+        return tuple(
+            tuple(sum(x[i][k] * y[k][j] for k in range(n)) % q for j in range(n))
+            for i in range(n)
+        )
+
+    gens = _gl_generators(p, level, n)
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    closure, frontier = {eye}, [eye]
+    while frontier:
+        frontier = [times(x, g) for x in frontier for g in gens]
+        frontier = [y for y in dict.fromkeys(frontier) if y not in closure]
+        closure.update(frontier)
+    assert closure == set(general_linear_residues(p, level, n))
 
 
 def test_c0_ring_ops():
@@ -215,6 +248,15 @@ def test_level_rule_enforced():
         act_by_residue(f, ((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("op", [average, is_invariant], ids=["average", "is_invariant"])
+@pytest.mark.parametrize("spec, n, level", [("wr(C2,4)", N, LEVEL), ("C4", 1, 1)])
+def test_level_rule_enforced_without_scan(op, spec, n, level):
+    # C4 at n = 1, level 1: GL_1(Z/2) is trivial and has no generators to apply
+    f = constant_one(build_group(spec), P, n, level)
+    with pytest.raises(LevelMismatchError):
+        op(f)
+
+
 def test_average_projects_onto_invariants(s3):
     f = random_class_function(s3, P, N, LEVEL, seed=4)
     fav = average(f)
@@ -227,6 +269,47 @@ def test_average_projects_onto_invariants(s3):
         moved = act_by_residue(f, gbar)
         total = moved if total is None else total.add(moved)
     assert total.scale(Fraction(1, len(gl))) == fav
+
+
+def _mean_over(f, mats):
+    total = None
+    for gbar in mats:
+        moved = act_by_residue(f, gbar)
+        total = moved if total is None else total.add(moved)
+    return total.scale(Fraction(1, len(mats)))
+
+
+def _invariant_by_full_loop(f):
+    return all(
+        act_by_residue(f, gbar) == f
+        for gbar in general_linear_residues(f.p, f.level, f.n)
+    )
+
+
+# S3 at p = 2 is test_average_projects_onto_invariants
+@pytest.mark.parametrize("spec, p, n, level", [("S1", 2, 2, 2), ("C2", 2, 2, 2), ("C3", 3, 1, 2)])
+def test_average_matches_full_group_mean(spec, p, n, level):
+    f = random_class_function(build_group(spec), p, n, level, seed=4)
+    rep, val = list(f.values.items())[-1]
+    # f itself, and f on one class only, whose orbit meets classes where it is zero
+    for h in (f, ClassFunction(f.group, p, n, level, {rep: val})):
+        hav = average(h)
+        assert is_invariant(hav)
+        assert average(hav) == hav
+        assert _mean_over(h, general_linear_residues(p, level, n)) == hav
+
+
+@pytest.mark.parametrize("spec", ["S1", "C2", "S3"])
+def test_is_invariant_matches_full_loop(spec):
+    f = random_class_function(build_group(spec), P, N, LEVEL, seed=6)
+    # the mean over det = 1 mod 4 is invariant under the transvections only;
+    # it is caught by the diag(3, 1) generator
+    sl = [g for g in general_linear_residues(P, LEVEL, N) if mat_det(g) % 4 == 1]
+    assert len(sl) == 48
+    bad = _mean_over(f, sl)
+    assert all(act_by_residue(bad, g) == bad for g in _gl_generators(P, LEVEL, N)[:2])
+    for h, expected in [(average(f), True), (f, False), (bad, False)]:
+        assert is_invariant(h) is _invariant_by_full_loop(h) is expected
 
 
 def test_transfer_whole_group_is_identity(s3):
@@ -341,6 +424,42 @@ def test_transfer_ideal_contains_constant_multiples():
     )
     f = indicator(multi, LEVEL, c0_coordinate(P, N, LEVEL))
     assert ideal.contains(f)
+
+
+def _contains_by_column(ideal, f):
+    # oracle: one membership test per table index t, reading f's tables directly
+    size = len(matrix_space(f.p, f.level, f.n)[0])
+    return all(
+        ideal.contains_vector(
+            [f.values[rep].values[t] if rep in f.values else 0 for rep in ideal.keys]
+        )
+        for t in range(size)
+    )
+
+
+def test_transfer_ideal_contains_matches_column_oracle():
+    ideal = transfer_ideal(P, N, LEVEL, 4)
+    classes = enumerate_hom_classes(ideal.group, N, P)
+    assert len(classes) == 17
+    verdicts = set()
+    for cls in classes:
+        for value in (None, c0_coordinate(P, N, LEVEL)):
+            f = indicator(cls, LEVEL, value)
+            verdict = ideal.contains(f)
+            assert verdict is _contains_by_column(ideal, f)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_transfer_ideal_contains_level_3():
+    ideal = transfer_ideal(P, N, 3, 4)
+    multi = next(
+        c for c in enumerate_hom_classes(ideal.group, N, P)
+        if len(symm_class_to_sum(c).summands) > 1
+    )
+    f = indicator(multi, 3, c0_coordinate(P, N, 3))
+    assert len(f.value_at(multi).values) == 4096
+    assert ideal.contains(f) and _contains_by_column(ideal, f)
 
 
 # ---------------------------------------------------------------------------
