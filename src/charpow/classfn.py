@@ -55,6 +55,9 @@ TABLE_CAP = 65_536
 
 def _table_size(p, n, level) -> int:
     """Entries of a level-N table, one per matrix in M_n(Z/p^level), within TABLE_CAP."""
+    for name, value in (("n", n), ("level", level)):
+        if value < 1:
+            raise ValueError(f"{name} = {value} must be at least 1")
     size = (p ** level) ** (n * n)
     if size > TABLE_CAP:
         raise TableTooLargeError(

@@ -150,9 +150,6 @@ class TruncatedPoly:
             out = out.add(term)
         return out
 
-    def constant_term(self):
-        return dict(self.coeffs).get((0,) * self.nvars, self.ring.convert(0))
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:

@@ -41,22 +41,21 @@ FULL_CHECK_LIMIT = 200
 
 
 class FiniteGroup:
-    """Indexed element set with a full multiplication table."""
+    """Indexed element set with a full multiplication table.
 
-    def __init__(self, name, elements, mul_label, structure=None):
-        if len(elements) > ORDER_CAP:
-            raise GroupTooLargeError(
-                f"group {name} has order {len(elements)} > {ORDER_CAP}"
-            )
+    table[i, j] is the index of elements[i] * elements[j], as uint16.
+    """
+
+    def __init__(self, name, elements, table, structure=None):
+        _check_order(name, [len(elements)])
         self.name = name
         self.elements = tuple(elements)
         self.index = {lab: i for i, lab in enumerate(self.elements)}
         self.structure = structure
         n = len(self.elements)
-        table = np.empty((n, n), dtype=np.uint16)
-        for i, a in enumerate(self.elements):
-            table[i] = [self.index[mul_label(a, b)] for b in self.elements]
-        self.table = table
+        self.table = table = np.asarray(table, dtype=np.uint16)
+        if table.shape != (n, n):
+            raise ValueError(f"group {name} has {n} elements but a {table.shape} table")
         eye = np.arange(n)
         ident = np.nonzero((table == eye).all(axis=1) & (table.T == eye).all(axis=1))[0]
         if len(ident) != 1:
@@ -195,73 +194,92 @@ class TupleClass:
 _GROUPS: dict = {}
 
 
+def _check_order(name, factors):
+    """Refuse a group whose order, the product of factors, passes ORDER_CAP."""
+    order = 1
+    for f in factors:  # stops at the first partial product above the cap
+        order *= f
+        if order > ORDER_CAP:
+            raise GroupTooLargeError(f"group {name} has order above ORDER_CAP = {ORDER_CAP}")
+
+
+def _perm_table(perms):
+    """Composition table (s t)(i) = s(t(i)) of lexicographically sorted permutations.
+
+    A permutation's base-m digits are its entries, so its key ranks it.
+    """
+    n, m = perms.shape
+    weights = m ** np.arange(m - 1, -1, -1)
+    keys = perms.dot(weights)
+    table = np.empty((n, n), dtype=np.uint16)
+    for a in range(n):
+        table[a] = np.searchsorted(keys, perms[a][perms].dot(weights))
+    return table
+
+
 def symmetric_group(m: int) -> FiniteGroup:
+    """S_m on the permutations of range(m) in lexicographic order."""
     name = f"S{m}"
     if name not in _GROUPS:
+        _check_order(name, range(1, m + 1))
         elements = list(itertools.permutations(range(m)))
-        mul = lambda s, t: tuple(s[t[i]] for i in range(m))
-        _GROUPS[name] = FiniteGroup(name, elements, mul, structure=("symmetric", m))
+        table = _perm_table(np.array(elements, dtype=np.intp, ndmin=2))
+        _GROUPS[name] = FiniteGroup(name, elements, table, structure=("symmetric", m))
     return _GROUPS[name]
 
 
 def cyclic_group(k: int) -> FiniteGroup:
+    """C_k on 0, ..., k-1 under addition mod k."""
     name = f"C{k}"
     if name not in _GROUPS:
-        mul = lambda a, b: (a + b) % k
-        _GROUPS[name] = FiniteGroup(name, range(k), mul, structure=("cyclic", k))
+        _check_order(name, [k])
+        a = np.arange(k, dtype=np.uint16)
+        _GROUPS[name] = FiniteGroup(
+            name, range(k), (a[:, None] + a) % k, structure=("cyclic", k)
+        )
     return _GROUPS[name]
 
 
 def product_group(g: FiniteGroup, k: FiniteGroup) -> FiniteGroup:
+    """G x K with (g_i, k_j) at index i |K| + j."""
     name = f"({g.name}x{k.name})"
     if name not in _GROUPS:
-        if g.order * k.order > ORDER_CAP:
-            raise GroupTooLargeError(f"{name} exceeds the order cap")
+        _check_order(name, [g.order, k.order])
         elements = list(itertools.product(g.elements, k.elements))
-        gm, km = g.index, k.index
-
-        def mul(a, b):
-            return (
-                g.elements[g.table[gm[a[0]], gm[b[0]]]],
-                k.elements[k.table[km[a[1]], km[b[1]]]],
-            )
-
-        _GROUPS[name] = FiniteGroup(name, elements, mul, structure=("product", g, k))
+        table = g.table[:, None, :, None] * k.order + k.table[None, :, None, :]
+        table = table.reshape(len(elements), -1)
+        _GROUPS[name] = FiniteGroup(name, elements, table, structure=("product", g, k))
     return _GROUPS[name]
 
 
 def wreath_group(g: FiniteGroup, m: int) -> FiniteGroup:
+    """G wr S_m, (v, s)(w, t) = (i -> v_i w_{s^-1(i)}, s t).
+
+    (v, s) has index (v in base |G|, first entry leading) m! + (index of s).
+    """
     name = f"wr({g.name},{m})"
     if name not in _GROUPS:
-        if g.order ** m * _factorial(m) > ORDER_CAP:
-            raise GroupTooLargeError(f"{name} exceeds the order cap")
+        _check_order(name, (g.order * i for i in range(1, m + 1)))
         perms = list(itertools.permutations(range(m)))
         elements = [
             (vec, s)
             for vec in itertools.product(g.elements, repeat=m)
             for s in perms
         ]
-        gm = g.index
-
-        def mul(a, b):
-            (v, s), (w, t) = a, b
-            sinv = [0] * m
-            for i in range(m):
-                sinv[s[i]] = i
-            vec = tuple(
-                g.elements[g.table[gm[v[i]], gm[w[sinv[i]]]]] for i in range(m)
-            )
-            return (vec, tuple(s[t[i]] for i in range(m)))
-
-        _GROUPS[name] = FiniteGroup(name, elements, mul, structure=("wreath", g, m))
+        perm_arr = np.array(perms, dtype=np.intp, ndmin=2)
+        perm_table = _perm_table(perm_arr)
+        perm_inv = perm_arr[np.nonzero(perm_table == 0)[1]]  # s t = identity: t = s^-1
+        digits = np.array(
+            list(itertools.product(range(g.order), repeat=m)), dtype=np.intp, ndmin=2
+        )
+        weights = g.order ** np.arange(m - 1, -1, -1)
+        table = np.empty((len(elements), len(elements)), dtype=np.uint16)
+        for a in range(len(elements)):
+            v, s = divmod(a, len(perms))
+            vec = g.table[digits[v], digits[:, perm_inv[s]]].dot(weights)
+            table[a] = (vec[:, None] * len(perms) + perm_table[s]).ravel()
+        _GROUPS[name] = FiniteGroup(name, elements, table, structure=("wreath", g, m))
     return _GROUPS[name]
-
-
-def _factorial(m):
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def build_group(spec: str) -> FiniteGroup:
@@ -307,7 +325,7 @@ def _build_atom(atom: str) -> FiniteGroup:
                 depth += 1
             elif ch == "(":
                 depth -= 1
-            elif ch == "," and depth == 0:
+            elif ch == "," and depth == 0 and inner[pos + 1:].isdigit():
                 return wreath_group(build_group(inner[:pos]), int(inner[pos + 1:]))
         raise ValueError(f"bad wreath spec {atom!r}")
     if atom[:1] == "S" and atom[1:].isdigit():
@@ -333,16 +351,10 @@ class Homomorphism:
             raise NotAHomomorphismError("mapping must be total")
         if self.mapping[self.source.identity] != self.target.identity:
             raise NotAHomomorphismError("identity is not preserved")
-        n = self.source.order
-        if n <= FULL_CHECK_LIMIT:
-            pairs = itertools.product(range(n), repeat=2)
-        else:
-            rng = SplitMix64(1)
-            pairs = ((rng.below(n), rng.below(n)) for _ in range(20_000))
-        for i, j in pairs:
-            if self.mapping[self.source.mul(i, j)] != self.target.mul(
-                self.mapping[i], self.mapping[j]
-            ):
+        f = np.array(self.mapping, dtype=np.intp)
+        for i in range(self.source.order):
+            # f(g_i g_j) == f(g_i) f(g_j), for every j at once
+            if (f[self.source.table[i]] != self.target.table[f[i], f]).any():
                 raise NotAHomomorphismError("map fails the homomorphism law")
 
     def __call__(self, i: int) -> int:
@@ -368,13 +380,13 @@ class Subgroup:
     def __post_init__(self):
         idxs = tuple(sorted(set(int(i) for i in self.indices)))
         object.__setattr__(self, "indices", idxs)
-        inside = set(idxs)
-        if self.parent.identity not in inside:
+        if self.parent.identity not in idxs:
             raise NotASubgroupError("subset misses the identity")
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[list(idxs)] = True
         for a in idxs:
-            for b in idxs:
-                if self.parent.mul(a, b) not in inside:
-                    raise NotASubgroupError("subset is not closed under multiplication")
+            if not inside[self.parent.table[a, idxs]].all():
+                raise NotASubgroupError("subset is not closed under multiplication")
 
     @property
     def order(self) -> int:
@@ -383,13 +395,13 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         cache = self.parent._subgroup_groups
         if self.indices not in cache:
-            parent = self.parent
-            elements = [parent.elements[i] for i in self.indices]
-            mul = lambda a, b: parent.elements[
-                parent.table[parent.index[a], parent.index[b]]
-            ]
+            parent, idxs = self.parent, np.array(self.indices)
+            table = np.empty((len(idxs), len(idxs)), dtype=np.uint16)
+            for row, a in enumerate(idxs):
+                table[row] = np.searchsorted(idxs, parent.table[a, idxs])
             name = f"{parent.name}|sub{len(cache)}:{self.indices[:6]}"
-            cache[self.indices] = FiniteGroup(name, elements, mul)
+            elements = [parent.elements[i] for i in self.indices]
+            cache[self.indices] = FiniteGroup(name, elements, table)
         return cache[self.indices]
 
     def inclusion(self) -> Homomorphism:
@@ -425,11 +437,8 @@ def abelian_subgroups(group: FiniteGroup):
         for g in sorted(cent - current):
             new = subgroup_closure(group, list(current) + [g])
             key = frozenset(new.indices)
-            candidate_elems = new.indices
-            abelian = all(
-                group.mul(a, b) == group.mul(b, a)
-                for a, b in itertools.combinations(candidate_elems, 2)
-            )
+            block = group.table[np.ix_(new.indices, new.indices)]
+            abelian = (block == block.T).all()
             if abelian and key not in found:
                 found[key] = new
                 frontier.append(key)
@@ -447,6 +456,8 @@ def enumerate_hom_classes(group: FiniteGroup, n: int, p: int):
         return group._hom_classes[key]
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     ppow = group.p_power_elements(p)
     # first coordinate only needs one representative per conjugacy class
     reps, seen = [], set()
@@ -462,13 +473,10 @@ def enumerate_hom_classes(group: FiniteGroup, n: int, p: int):
             found.add(canonical_tuple(group, prefix))
             return
         pool = reps if not prefix else commuting
+        candidates = np.array(commuting, dtype=np.intp)
         for g in pool:
-            sub = [
-                h
-                for h in (commuting if prefix else ppow)
-                if group.mul(g, h) == group.mul(h, g)
-            ]
-            extend(prefix + (g,), sub)
+            mask = group.table[g, candidates] == group.table[candidates, g]
+            extend(prefix + (g,), candidates[mask].tolist())
 
     extend((), ppow)
     classes = tuple(
@@ -551,10 +559,8 @@ def diagonal_wreath_hom(g: FiniteGroup, m: int) -> Homomorphism:
 
 def include_left_factor(g: FiniteGroup, k: FiniteGroup) -> Homomorphism:
     """G -> G x K sending g to (g, e)."""
-    prod = product_group(g, k)
-    e = k.elements[k.identity]
     return Homomorphism(
-        g, prod, tuple(prod.index[(lab, e)] for lab in g.elements)
+        g, product_group(g, k), tuple(a * k.order + k.identity for a in range(g.order))
     )
 
 
@@ -562,15 +568,12 @@ def times_hom(left: Homomorphism, right: Homomorphism) -> Homomorphism:
     """Product homomorphism source_l x source_r -> target_l x target_r."""
     source = product_group(left.source, right.source)
     target = product_group(left.target, right.target)
-    mapping = []
-    for a, b in source.elements:
-        ia, ib = left.source.index[a], right.source.index[b]
-        mapping.append(
-            target.index[
-                (left.target.elements[left(ia)], right.target.elements[right(ib)])
-            ]
-        )
-    return Homomorphism(source, target, tuple(mapping))
+    mapping = tuple(
+        left(a) * right.target.order + right(b)
+        for a in range(left.source.order)
+        for b in range(right.source.order)
+    )
+    return Homomorphism(source, target, mapping)
 
 
 def product_delta_homs(g: FiniteGroup, i: int, j: int):
@@ -581,26 +584,21 @@ def product_delta_homs(g: FiniteGroup, i: int, j: int):
     diagonal on G.
     """
     de = delta_embed(i, j)
+    si, sj, sm = symmetric_group(i), symmetric_group(j), symmetric_group(i + j)
     source = product_group(g, de.source)
-    big = product_group(g, symmetric_group(i + j))
-    sm = symmetric_group(i + j)
     into_big = Homomorphism(
         source,
-        big,
-        tuple(
-            big.index[(glab, sm.elements[de(de.source.index[st])])]
-            for glab, st in source.elements
-        ),
-    )
-    split = product_group(
-        product_group(g, symmetric_group(i)), product_group(g, symmetric_group(j))
+        product_group(g, sm),
+        tuple(a * sm.order + b for a in range(g.order) for b in de.mapping),
     )
     into_split = Homomorphism(
         source,
-        split,
+        product_group(product_group(g, si), product_group(g, sj)),
         tuple(
-            split.index[((glab, st[0]), (glab, st[1]))]
-            for glab, st in source.elements
+            (a * si.order + s) * (g.order * sj.order) + a * sj.order + t
+            for a in range(g.order)
+            for s in range(si.order)
+            for t in range(sj.order)
         ),
     )
     return into_big, into_split
@@ -615,8 +613,8 @@ def product_components(group: FiniteGroup):
 def split_product_class(alpha: TupleClass):
     """Pair of component classes of a tuple class in a binary product group."""
     g, k = product_components(alpha.group)
-    left = tuple(g.index[alpha.group.elements[i][0]] for i in alpha.rep)
-    right = tuple(k.index[alpha.group.elements[i][1]] for i in alpha.rep)
+    left = tuple(i // k.order for i in alpha.rep)
+    right = tuple(i % k.order for i in alpha.rep)
     return TupleClass(g, left, alpha.p), TupleClass(k, right, alpha.p)
 
 

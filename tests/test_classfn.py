@@ -177,6 +177,21 @@ def test_table_cap_checked_before_allocation():
         c0_constant(2, 3, 3, 0)
 
 
+def test_c0_constant_rejects_rank_0():
+    with pytest.raises(ValueError, match="^n = 0 must be at least 1$"):
+        c0_constant(2, 0, 2, 1)
+
+
+def test_constant_one_rejects_rank_0():
+    with pytest.raises(ValueError, match="^n = 0 must be at least 1$"):
+        constant_one(build_group("S1"), 2, 0, 2)
+
+
+def test_constant_one_rejects_level_0():
+    with pytest.raises(ValueError, match="^level = 0 must be at least 1$"):
+        constant_one(build_group("S1"), 2, 2, 0)
+
+
 @pytest.mark.parametrize("a", [((1, 2), (3, 1)), ((2, 0), (1, 2)), ((5, 7), (6, 3))])
 def test_translation_perms_match_matrix_products(a):
     # Oracle: direct 2x2 matrix products mod 4 over all of M_2(Z/4).

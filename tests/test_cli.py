@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from charpow.cli import main
+from charpow.classfn import TABLE_CAP
 from charpow.classfn import from_json_dict, power_op, to_json_dict
 from charpow.groups import build_group
 from charpow.isogeny import random_section
@@ -76,6 +81,18 @@ def test_size_cap_exit_3(capsys):
         ["enumerate", "--kind", "hom-classes", "--group", "wr(S3,4)"], capsys
     )
     assert code == 3
+
+
+def test_group_above_order_cap_exits_3_before_listing(capsys):
+    # S12 has 479001600 elements; the cap is checked before any is listed
+    start = time.perf_counter()
+    code, out, err = run(
+        ["enumerate", "--kind", "hom-classes", "--group", "S12", "--n", "1"], capsys
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == "error: group S12 has order above ORDER_CAP = 10000\n"
 
 
 def test_level_mismatch_exit_4(capsys):
@@ -295,3 +312,67 @@ def test_verify_fgl_passes(capsys):
 def test_verify_transfers_passes(capsys):
     code, out, _ = run(["verify", "--suite", "transfers"], capsys)
     assert code == 0
+
+
+# The exit-code contract over random flags: exit 0, or exit 2-5 with one
+# `error:` line that names the offending parameter; never a traceback, never 1.
+
+GROUP_SPECS = ["S1", "S2", "S3", "C2", "C3", "C2xC3", "wr(S1,2)",  # built
+               "S12", "wr(S3,4)", "C10007", "wr(S1,99999)",  # above ORDER_CAP
+               "Q8", "C0", "C2x", "wr(S2)", "wr(S2,-1)"]  # not groups
+PARAMETERS = ("p = ", "n = ", "level", "m = ", "k = ")
+
+
+def _mostly_valid(valid, anything):
+    return st.one_of(st.sampled_from(valid), anything)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["subgroups", "sums", "hom-classes", "wreath-classes", "powerop", "total"]
+    ),
+    p=_mostly_valid([2, 3], st.integers(-2, 4)),
+    n=_mostly_valid([1, 2], st.integers(-1, 3)),
+    level=_mostly_valid([1, 2, 3], st.integers(-1, 3)),
+    m=st.integers(-1, 3),
+    k=st.integers(-1, 3),
+    group=st.sampled_from(GROUP_SPECS),
+)
+# one draw for each way out: 0, a bad p, the order cap, the table cap, a low level
+@example(command="wreath-classes", p=2, n=2, level=2, m=2, k=0, group="S2")
+@example(command="sums", p=4, n=2, level=2, m=3, k=0, group="S1")
+@example(command="hom-classes", p=2, n=1, level=2, m=0, k=0, group="S12")
+@example(command="powerop", p=2, n=3, level=3, m=2, k=0, group="S1")
+@example(command="total", p=2, n=1, level=1, m=2, k=0, group="C2")
+def test_exit_code_contract(command, p, n, level, m, k, group):
+    if command in ("powerop", "total") and p in (2, 3) and n >= 1 and level >= 1:
+        # a table above TABLE_CAP is refused before allocation; keep the
+        # tables that are built small
+        size = (p ** level) ** (n * n)
+        assume(size <= 256 or size > TABLE_CAP)
+    argv = {
+        "subgroups": ["enumerate", "--kind", "subgroups", "--k", str(k)],
+        "sums": ["enumerate", "--kind", "sums", "--m", str(m)],
+        "hom-classes": ["enumerate", "--kind", "hom-classes", "--group", group],
+        "wreath-classes": ["enumerate", "--kind", "wreath-classes", "--group", group,
+                           "--m", str(m)],
+        "powerop": ["powerop", "--group", group, "--m", str(m), "--level", str(level)],
+        "total": ["powerop", "--group", group, "--m", str(m), "--level", str(level),
+                  "--total"],
+    }[command] + ["--p", str(p), "--n", str(n)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        return
+    assert code in (2, 3, 4, 5)
+    assert out.getvalue() == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert any(name in err for name in PARAMETERS) or group in err
+    if code == 3:
+        assert "ORDER_CAP" in err or "TABLE_CAP" in err
+    if code == 4:
+        assert "level" in err

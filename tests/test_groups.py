@@ -1,5 +1,8 @@
 import itertools
+import re
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from charpow.errors import (
 )
 from charpow.groups import (
     DecoratedSum,
+    FiniteGroup,
     Homomorphism,
     Subgroup,
     TupleClass,
@@ -21,12 +25,16 @@ from charpow.groups import (
     diagonal_wreath_hom,
     enumerate_hom_classes,
     fixed_cosets,
+    include_left_factor,
     precompose,
+    product_delta_homs,
     product_group,
+    split_product_class,
     subgroup_closure,
     sum_to_symm_class,
     symm_class_to_sum,
     symmetric_group,
+    times_hom,
     wreath_class_to_decorated,
 )
 from charpow.torsion import (
@@ -81,9 +89,117 @@ def test_order_cap():
         build_group("wr(S3,4)")  # 6^4 * 24 = 31104
 
 
+@pytest.mark.parametrize(
+    "spec", ["S12", "C10001", "S6xS6", "wr(S1,8)", "S1000000", "wr(C2,1000000)"]
+)
+def test_order_cap_checked_before_listing(spec):
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLargeError, match=r"has order above ORDER_CAP = 10000$"):
+        build_group(spec)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spec", ["wr(S2,-1)", "wr(S2,x)", "wr(S2)"])
+def test_bad_wreath_spec_is_named(spec):
+    with pytest.raises(ValueError, match=rf"^bad wreath spec '{re.escape(spec)}'$"):
+        build_group(spec)
+
+
+# ---------------------------------------------------------------------------
+# every table against the per-pair label multiplication it replaced
+
+
+def _oracle(group):
+    """(element labels, label multiplication) of a group, stated per family."""
+    kind, *args = group.structure
+    if kind == "symmetric":
+        (m,) = args
+        return list(itertools.permutations(range(m))), lambda s, t: tuple(s[i] for i in t)
+    if kind == "cyclic":
+        (k,) = args
+        return list(range(k)), lambda a, b: (a + b) % k
+    if kind == "product":
+        (g_elems, g_mul), (k_elems, k_mul) = map(_oracle, args)
+        return list(itertools.product(g_elems, k_elems)), lambda a, b: (
+            g_mul(a[0], b[0]),
+            k_mul(a[1], b[1]),
+        )
+    g, m = args
+    g_elems, g_mul = _oracle(g)
+    perms = list(itertools.permutations(range(m)))
+
+    def mul(a, b):
+        (v, s), (w, t) = a, b
+        return (
+            tuple(g_mul(v[i], w[s.index(i)]) for i in range(m)),
+            tuple(s[i] for i in t),
+        )
+
+    return [(v, s) for v in itertools.product(g_elems, repeat=m) for s in perms], mul
+
+
+def _closure_table(elements, mul):
+    index = {lab: i for i, lab in enumerate(elements)}
+    return np.array([[index[mul(a, b)] for b in elements] for a in elements])
+
+
+TABLE_SPECS = (
+    [f"S{m}" for m in range(1, 7)]
+    + [f"C{k}" for k in range(1, 7)]
+    + ["C2xC4", "S3xC2", "C2xS3xC3", "S3x(C2xC2)", "wr(S2,2)xC2"]
+    + ["wr(C2,2)", "wr(C2,4)", "wr(C3,2)", "wr(S3,2)", "wr(C2xC2,2)", "wr(S1,3)"]
+)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_table_matches_label_multiplication(spec):
+    g = build_group(spec)
+    elements, mul = _oracle(g)
+    assert list(g.elements) == elements
+    assert g.table.dtype == np.uint16
+    assert (g.table == _closure_table(elements, mul)).all()
+
+
+def test_subgroup_table_matches_label_multiplication():
+    s4 = build_group("S4")
+    _, mul = _oracle(s4)
+    dihedral = subgroup_closure(s4, [s4.index[(1, 2, 3, 0)], s4.index[(1, 0, 3, 2)]])
+    subgroups = list(abelian_subgroups(s4)) + [dihedral, Subgroup(s4, range(24))]
+    assert dihedral.order == 8
+    for sub in subgroups:
+        h = sub.as_group()
+        assert list(h.elements) == [s4.elements[i] for i in sub.indices]
+        assert (h.table == _closure_table(h.elements, mul)).all()
+
+
+def test_finite_group_rejects_bad_tables():
+    # a - b mod 3: a Latin square whose only right identity 0 is no left identity
+    a = np.arange(3)
+    with pytest.raises(ValueError, match="no identity"):
+        FiniteGroup("minus3", range(3), (a[:, None] - a) % 3)
+    # a loop of order 5: identity 0 and every element its own inverse,
+    # which no group of order 5 has
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup("loop5", range(5), loop)
+    with pytest.raises(ValueError, match=r"has 5 elements but a \(4, 5\) table"):
+        FiniteGroup("short", range(5), loop[:4])
+
+
 def test_trivial_group_classes():
     g = build_group("S1")
     assert len(enumerate_hom_classes(g, 2, 2)) == 1
+
+
+def test_hom_classes_reject_rank_below_1():
+    with pytest.raises(ValueError, match="^n = -1 must be at least 1$"):
+        enumerate_hom_classes(build_group("S3"), -1, 2)
 
 
 @pytest.mark.parametrize("p", [4, 1])
@@ -246,6 +362,50 @@ def test_homomorphism_validation():
     Homomorphism(c4, c2, (0, 1, 0, 1))
     with pytest.raises(NotAHomomorphismError):
         Homomorphism(c4, c2, (0, 1, 1, 0))
+
+
+def test_homomorphism_law_checked_on_every_pair_of_a_large_source():
+    s6, c2 = build_group("S6"), build_group("C2")
+    assert s6.order > 200
+    sign = [sum(a > b for a, b in itertools.combinations(s, 2)) % 2 for s in s6.elements]
+    Homomorphism(s6, c2, sign)
+    wrong_once = sign[:-1] + [1 - sign[-1]]
+    with pytest.raises(NotAHomomorphismError, match="homomorphism law"):
+        Homomorphism(s6, c2, wrong_once)
+
+
+def test_product_maps_match_label_lookups():
+    # the index arithmetic on products against looking the labels up
+    g, s2, c2 = build_group("S3"), symmetric_group(2), build_group("C2")
+    left = include_left_factor(g, s2)
+    e = s2.elements[s2.identity]
+    assert left.mapping == tuple(left.target.index[(a, e)] for a in g.elements)
+
+    right = diagonal_wreath_hom(c2, 2)
+    both = times_hom(left, right)
+    assert both.mapping == tuple(
+        both.target.index[
+            (
+                left.target.elements[left(left.source.index[a])],
+                right.target.elements[right(right.source.index[b])],
+            )
+        ]
+        for a, b in both.source.elements
+    )
+
+    de = delta_embed(1, 2)
+    into_big, into_split = product_delta_homs(c2, 1, 2)
+    for i, (a, st) in enumerate(into_big.source.elements):
+        big = (a, de.target.elements[de(de.source.index[st])])
+        assert into_big.target.elements[into_big(i)] == big
+        assert into_split.target.elements[into_split(i)] == ((a, st[0]), (a, st[1]))
+
+    for cls in enumerate_hom_classes(product_group(g, s2), 2, 2):
+        labels = [cls.group.elements[i] for i in cls.rep]
+        assert split_product_class(cls) == (
+            TupleClass(g, tuple(g.index[x] for x, _ in labels), 2),
+            TupleClass(s2, tuple(s2.index[y] for _, y in labels), 2),
+        )
 
 
 def test_delta_embed_identity():
