@@ -16,10 +16,13 @@ to serve both.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     LevelMismatchError,
@@ -76,21 +79,19 @@ def matrix_space(p: int, level: int, n: int):
 
 
 def _translation_perm(p, level, n, a_flat, on_left):
-    """perm[t] = index of A . xi_t (on_left) or xi_t . A, mod p^level."""
+    """perm[t] = index of A . xi_t (on_left) or xi_t . A, mod p^level.
+
+    Table index t is the base-q number of the row-major entries of xi_t, so
+    all products are formed at once in int64; a product entry is below
+    n q^2 <= 2^32 within TABLE_CAP.
+    """
     q = p ** level
-    mats, index = matrix_space(p, level, n)
-    a = [[x % q for x in a_flat[i * n:(i + 1) * n]] for i in range(n)]
-    perm = []
-    for flat in mats:
-        xi = [flat[i * n:(i + 1) * n] for i in range(n)]
-        x, y = (a, xi) if on_left else (xi, a)
-        prod = tuple(
-            sum(x[i][k] * y[k][j] for k in range(n)) % q
-            for i in range(n)
-            for j in range(n)
-        )
-        perm.append(index[prod])
-    return tuple(perm)
+    size = _table_size(p, n, level)
+    weights = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    xi = (np.arange(size, dtype=np.int64)[:, None] // weights % q).reshape(size, n, n)
+    a = np.array([x % q for x in a_flat], dtype=np.int64).reshape(n, n)
+    prod = (a @ xi if on_left else xi @ a) % q
+    return tuple(prod.reshape(size, n * n).dot(weights).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -109,50 +110,84 @@ def _flatten(entries):
     return tuple(int(x) for row in entries for x in row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class C0Element:
     """Rational-valued function on M_n(Z/p^level), the level-N coefficient model.
 
-    Entries are ints or Fractions and are stored as given, never converted.
+    The table is held as integer numerators num over one common denominator
+    den > 0, normalized so that gcd(den, *num) == 1.  Equal tables thus have
+    equal (num, den), and == and hash compare plain tuples.
+
+    C0Element(p, n, level, values) takes int or Fraction entries;
+    C0Element(p, n, level, num, den) takes integer numerators over den.
     """
 
     p: int
     n: int
     level: int
-    values: tuple
+    num: tuple
+    den: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))  # a tuple is kept as is
-        size = _table_size(self.p, self.n, self.level)
-        if len(self.values) != size:
-            raise LevelMismatchError(f"table must have {size} entries, got {len(self.values)}")
-        for kind in set(map(type, self.values)):
-            if not issubclass(kind, (int, Fraction)):
-                raise TypeError(
-                    f"table entries must be int or Fraction, got {kind.__name__}"
-                )
+    def __init__(self, p, n, level, values, den=None):
+        size = _table_size(p, n, level)
+        num = tuple(values)
+        if len(num) != size:
+            raise LevelMismatchError(f"table must have {size} entries, got {len(num)}")
+        if den is None:
+            kinds = set(map(type, num))
+            for kind in kinds:
+                if not issubclass(kind, (int, Fraction)):
+                    raise TypeError(
+                        f"table entries must be int or Fraction, got {kind.__name__}"
+                    )
+            den = 1
+            if kinds != {int}:  # already normalized: each entry is in lowest terms
+                den = math.lcm(*{v.denominator for v in num})
+                num = tuple(v.numerator * (den // v.denominator) for v in num)
+        elif den < 1:
+            raise ValueError(f"den = {den} must be positive")
+        g = math.gcd(den, *num)  # also rejects a numerator that is not an integer
+        if g != 1:
+            den //= g
+            num = tuple(x // g for x in num)
+        for name, value in zip(("p", "n", "level", "num", "den"), (p, n, level, num, den)):
+            object.__setattr__(self, name, value)
 
-    def _like(self, values):
-        return C0Element(self.p, self.n, self.level, tuple(values))
+    @property
+    def values(self) -> tuple:
+        """The entries: the numerators when den is 1, Fractions otherwise."""
+        if self.den == 1:
+            return self.num
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    def _like(self, num, den):
+        return C0Element(self.p, self.n, self.level, num, den)
+
+    def _over(self, den):
+        """The numerators over den, a multiple of self.den."""
+        k = den // self.den
+        return self.num if k == 1 else map(k.__mul__, self.num)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.num)
 
     def add(self, other: "C0Element") -> "C0Element":
         self._check(other)
-        return self._like(a + b for a, b in zip(self.values, other.values))
+        den = math.lcm(self.den, other.den)
+        return self._like(map(operator.add, self._over(den), other._over(den)), den)
 
     def sub(self, other: "C0Element") -> "C0Element":
         self._check(other)
-        return self._like(a - b for a, b in zip(self.values, other.values))
+        den = math.lcm(self.den, other.den)
+        return self._like(map(operator.sub, self._over(den), other._over(den)), den)
 
     def mul(self, other: "C0Element") -> "C0Element":
         self._check(other)
-        return self._like(a * b for a, b in zip(self.values, other.values))
+        return self._like(map(operator.mul, self.num, other.num), self.den * other.den)
 
     def scale(self, c) -> "C0Element":
         c = Fraction(c)
-        return self._like(c * v for v in self.values)
+        return self._like(map(c.numerator.__mul__, self.num), self.den * c.denominator)
 
     def act_isogeny(self, phi: Isogeny) -> "C0Element":
         """Right action (c . phi)(xi) = c(A_phi xi); a ring homomorphism."""
@@ -160,13 +195,11 @@ class C0Element:
 
     def act_matrix_left(self, entries) -> "C0Element":
         perm = _left_translation_perm(self.p, self.level, self.n, _flatten(entries))
-        vals = self.values
-        return self._like(vals[t] for t in perm)
+        return self._like(map(self.num.__getitem__, perm), self.den)
 
     def act_matrix_right(self, entries) -> "C0Element":
         perm = _right_translation_perm(self.p, self.level, self.n, _flatten(entries))
-        vals = self.values
-        return self._like(vals[t] for t in perm)
+        return self._like(map(self.num.__getitem__, perm), self.den)
 
     def _check(self, other):
         if (self.p, self.n, self.level) != (other.p, other.n, other.level):
@@ -390,9 +423,9 @@ def _gl_generators(p, level, n):
 def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     """Orbits of GL_n(Z/p^level) on the pairs (class position c, table index t).
 
-    A pair is numbered c * size + t.  Returns the orbit label of each pair
-    and the size of each orbit.  A generator g sends (c, t) to the pair that
-    act_by_residue reads: (pos of [alpha_c g^T], perm_g[t]).
+    A pair is numbered c * size + t.  Returns the orbit label of each pair,
+    orbits numbered from 0, and the size of each orbit.  A generator g sends
+    (c, t) to the pair that act_by_residue reads: (pos of [alpha_c g^T], perm_g[t]).
     """
     classes = enumerate_hom_classes(group, n, p)
     pos = _class_positions(group, n, p)
@@ -414,8 +447,10 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
                 a, b = find(start + t), find(image + perm[t])
                 if a != b:
                     parent[a] = b
-    labels = tuple(find(x) for x in range(len(parent)))
-    return labels, Counter(labels)
+    _, labels, counts = np.unique(
+        [find(x) for x in range(len(parent))], return_inverse=True, return_counts=True
+    )
+    return tuple(labels.tolist()), tuple(counts.tolist())
 
 
 def average(f: ClassFunction) -> ClassFunction:
@@ -430,16 +465,20 @@ def average(f: ClassFunction) -> ClassFunction:
     labels, counts = _orbits(f.group, f.n, f.p, f.level)
     size = _table_size(f.p, f.n, f.level)
     pos = _class_positions(f.group, f.n, f.p)
-    sums = dict.fromkeys(counts, 0)
+    den = math.lcm(*(val.den for val in f.values.values()))
+    sums = [0] * len(counts)
     for rep, val in f.values.items():
         start = pos[rep] * size
-        for label, v in zip(labels[start:start + size], val.values):
-            sums[label] += v
+        for label, x in zip(labels[start:start + size], val._over(den)):
+            sums[label] += x
+    # the mean over orbit k is sums[k] / (counts[k] * den) = means[k] / (whole * den)
+    whole = math.lcm(*counts)
+    means = [s * (whole // c) for s, c in zip(sums, counts)]
     return f._like({
-        rep: C0Element(f.p, f.n, f.level, tuple(
-            Fraction(sums[label], counts[label])
-            for label in labels[c * size:(c + 1) * size]
-        ))
+        rep: C0Element(
+            f.p, f.n, f.level, map(means.__getitem__, labels[c * size:(c + 1) * size]),
+            whole * den,
+        )
         for rep, c in pos.items()
     })
 
@@ -545,15 +584,17 @@ def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
         )
     target = make_target()
     _require_level_covers(target, f.p, f.level)
-    one = c0_constant(f.p, f.n, f.level, 1)
     out = {}
     for cls in enumerate_hom_classes(target, f.n, f.p):
-        val = one
+        val = None
         for h, alpha in summands(cls):
             phi = section.isogeny_for(h)
-            val = val.mul(f.value_at(precompose(alpha, dual(phi))).act_isogeny(phi))
+            term = f.value_at(precompose(alpha, dual(phi))).act_isogeny(phi)
+            val = term if val is None else val.mul(term)
             if val.is_zero():
                 break
+        if val is None:  # no summands: the empty product
+            val = c0_constant(f.p, f.n, f.level, 1)
         if not val.is_zero():
             out[cls.rep] = val
     return ClassFunction(target, f.p, f.n, f.level, out)
@@ -657,7 +698,9 @@ def to_json_dict(f: ClassFunction) -> dict:
         "level": f.level,
         "group": f.group.name,
         "classes": [
-            {"rep": list(rep), "value": [f"{v.numerator}/{v.denominator}" for v in val.values]}
+            {"rep": list(rep), "value": [
+                f"{x // (g := math.gcd(x, val.den))}/{val.den // g}" for x in val.num
+            ]}
             for rep, val in sorted(f.values.items())
         ],
     }

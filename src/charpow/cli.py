@@ -196,7 +196,8 @@ def cmd_verify(args) -> int:
         status = "PASS" if r.ok else "FAIL"
         failures += 0 if r.ok else 1
         detail = f"  [{r.detail}]" if r.detail else ""
-        lines.append(f"[{status}] {r.suite}/{r.name} {r.params}{detail}")
+        timing = f"  ({r.seconds:.3f} s)" if args.timings else ""
+        lines.append(f"[{status}] {r.suite}/{r.name} {r.params}{detail}{timing}")
     lines.append(
         f"{len(results) - failures}/{len(results)} properties passed"
     )
@@ -255,6 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--max-m", type=int, default=4, dest="max_m")
     ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--timings", action="store_true",
+                     help="print each property's elapsed seconds on its line")
     ver.set_defaults(func=cmd_verify)
     return parser
 

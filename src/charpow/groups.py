@@ -313,6 +313,22 @@ def _split_product(spec: str):
     return parts
 
 
+def _spec_number(digits: str, atom: str) -> int:
+    """The number written in a spec atom.
+
+    A number of more digits than ORDER_CAP has is refused before int()
+    reads it: C_k, S_k and G wr S_k all have order at least k.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(ORDER_CAP)):
+        shown = atom if len(atom) <= 40 else atom[:37] + "..."
+        raise GroupTooLargeError(
+            f"group spec {shown!r} names a {len(digits)}-digit number, so the group "
+            f"has order above ORDER_CAP = {ORDER_CAP}"
+        )
+    return int(digits)
+
+
 def _build_atom(atom: str) -> FiniteGroup:
     if atom.startswith("(") and atom.endswith(")"):
         return build_group(atom[1:-1])
@@ -325,13 +341,14 @@ def _build_atom(atom: str) -> FiniteGroup:
                 depth += 1
             elif ch == "(":
                 depth -= 1
-            elif ch == "," and depth == 0 and inner[pos + 1:].isdigit():
-                return wreath_group(build_group(inner[:pos]), int(inner[pos + 1:]))
+            elif ch == "," and depth == 0 and inner[pos + 1:].isdecimal():
+                degree = _spec_number(inner[pos + 1:], atom)
+                return wreath_group(build_group(inner[:pos]), degree)
         raise ValueError(f"bad wreath spec {atom!r}")
-    if atom[:1] == "S" and atom[1:].isdigit():
-        return symmetric_group(int(atom[1:]))
-    if atom[:1] == "C" and atom[1:].isdigit():
-        return cyclic_group(int(atom[1:]))
+    if atom[:1] == "S" and atom[1:].isdecimal():
+        return symmetric_group(_spec_number(atom[1:], atom))
+    if atom[:1] == "C" and atom[1:].isdecimal():
+        return cyclic_group(_spec_number(atom[1:], atom))
     raise ValueError(f"bad group spec {atom!r}")
 
 

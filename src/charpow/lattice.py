@@ -93,39 +93,43 @@ def _pivot(row):
     return next((i for i, x in enumerate(row) if x != 0), None)
 
 
+def _eliminate(row, pivots):
+    """row minus its combination of basis rows, given as {pivot: row}."""
+    row = list(row)
+    for piv, b in pivots.items():
+        c = row[piv]
+        if c != 0:
+            row = [x - c * y for x, y in zip(row, b)]
+    return row
+
+
 def reduce_against(row, basis):
     """row minus its combination of the rows of a reduced echelon basis.
 
     The result is zero exactly when row lies in the span of the basis.
     """
-    row = list(row)
-    for b in basis:
-        c = row[_pivot(b)]
-        if c != 0:
-            row = [x - c * y for x, y in zip(row, b)]
-    return row
+    return _eliminate(row, {_pivot(b): b for b in basis})
 
 
 def row_reduce(rows):
     """Reduced row echelon basis of the span of rational rows, sorted by pivot.
 
     Each basis row has a unit pivot, and zeros at the pivots of the others.
+    The basis is kept as {pivot: row}, so no pivot is searched for twice.
     """
-    basis = []
+    pivots = {}
     for row in rows:
-        row = reduce_against(row, basis)
+        row = _eliminate(row, pivots)
         piv = _pivot(row)
         if piv is None:
             continue
         inv = Fraction(1) / row[piv]
         row = [x * inv for x in row]
-        basis = [
-            [x - b[piv] * y for x, y in zip(b, row)] if b[piv] != 0 else b
-            for b in basis
-        ]
-        basis.append(row)
-        basis.sort(key=_pivot)
-    return basis
+        for k, b in pivots.items():
+            if b[piv] != 0:
+                pivots[k] = [x - b[piv] * y for x, y in zip(b, row)]
+        pivots[piv] = row
+    return [pivots[k] for k in sorted(pivots)]
 
 
 def int_valuation(x: int, p: int) -> int:

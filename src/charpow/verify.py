@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classfn import (
@@ -89,6 +90,7 @@ class CheckResult:
     params: str
     ok: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -102,8 +104,16 @@ class VerifyConfig:
     groups: tuple = ("S1", "C2", "S3")
 
 
-def _result(suite, name, params, ok, detail=""):
-    return CheckResult(suite, name, str(params), bool(ok), detail)
+def _result(suite, name, params, ok, detail="", *, seconds=0.0):
+    return CheckResult(suite, name, str(params), bool(ok), detail, seconds)
+
+
+def _timed(records):
+    """Each record of a suite, with the seconds spent since the one before."""
+    start = time.perf_counter()
+    for record in records:
+        yield record, time.perf_counter() - start
+        start = time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +545,9 @@ def run_suites(names, cfg: VerifyConfig = None):
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        results.extend(_result(name, *record) for record in SUITES[name](cfg))
+        results.extend(
+            _result(name, *record, seconds=seconds)
+            for record, seconds in _timed(SUITES[name](cfg))
+        )
     results.sort(key=lambda r: (r.suite, r.name, r.params))
     return results

@@ -1,9 +1,12 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from charpow.classfn import (
+    TABLE_CAP,
     C0Element,
     ClassFunction,
     StabilizerElement,
@@ -14,9 +17,11 @@ from charpow.classfn import (
     _gl_generators,
     _left_translation_perm,
     _right_translation_perm,
+    _translation_perm,
     c0_constant,
     c0_coordinate,
     c0_delta,
+    c0_random,
     constant_one,
     constant_value,
     from_json_dict,
@@ -218,6 +223,166 @@ def test_c0_left_right_actions_commute():
         a.act_matrix_left(left).act_matrix_right(right)
         == a.act_matrix_right(right).act_matrix_left(left)
     )
+
+
+# ---------------------------------------------------------------------------
+# the (num, den) table against the Fraction-tuple table it replaced
+
+
+def _loop_translation_perm(p, level, n, a_flat, on_left):
+    """Oracle: one matrix product per table index, looked up in matrix_space."""
+    q = p ** level
+    mats, index = matrix_space(p, level, n)
+    a = [[x % q for x in a_flat[i * n:(i + 1) * n]] for i in range(n)]
+    perm = []
+    for flat in mats:
+        xi = [flat[i * n:(i + 1) * n] for i in range(n)]
+        x, y = (a, xi) if on_left else (xi, a)
+        prod = tuple(
+            sum(x[i][k] * y[k][j] for k in range(n)) % q
+            for i in range(n)
+            for j in range(n)
+        )
+        perm.append(index[prod])
+    return tuple(perm)
+
+
+class FractionTable:
+    """Oracle: the table as a tuple of Fractions, with the same operations."""
+
+    def __init__(self, values):
+        self.values = tuple(Fraction(v) for v in values)
+
+    def add(self, other):
+        return FractionTable(a + b for a, b in zip(self.values, other.values))
+
+    def sub(self, other):
+        return FractionTable(a - b for a, b in zip(self.values, other.values))
+
+    def mul(self, other):
+        return FractionTable(a * b for a, b in zip(self.values, other.values))
+
+    def scale(self, c):
+        return FractionTable(Fraction(c) * v for v in self.values)
+
+    def gather(self, perm):
+        return FractionTable(self.values[t] for t in perm)
+
+    def is_zero(self):
+        return all(v == 0 for v in self.values)
+
+
+def _assert_matches(c, oracle):
+    assert c.den > 0 and math.gcd(c.den, *c.num) == 1
+    assert all(type(x) is int for x in c.num)
+    assert c.values == oracle.values
+    assert c.is_zero() == oracle.is_zero()
+    rebuilt = C0Element(c.p, c.n, c.level, oracle.values)
+    assert rebuilt == c and hash(rebuilt) == hash(c)
+    assert (rebuilt.num, rebuilt.den) == (c.num, c.den)
+
+
+def _rows(flat, n):
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
+
+
+def _seeded_tables(p, n, level, seed):
+    rng = SplitMix64(seed)
+    size = (p ** level) ** (n * n)
+    return [
+        c0_random(p, n, level, rng),
+        c0_random(p, n, level, rng),
+        c0_constant(p, n, level, 0),
+        c0_constant(p, n, level, Fraction(1, 2)),
+        c0_constant(p, n, level, 2),
+        C0Element(p, n, level, tuple(Fraction(-(t % 5), 1 + t % 3) for t in range(size))),
+        c0_coordinate(p, n, level).scale(-3),
+    ]
+
+
+@pytest.mark.parametrize("p, n, level", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1)])
+def test_c0_ops_match_fraction_oracle(p, n, level):
+    tables = _seeded_tables(p, n, level, seed=100 * p + 10 * n + level)
+    for c in tables:
+        _assert_matches(c, FractionTable(c.values))
+    rng = SplitMix64(7)
+    a_flat = tuple(rng.below(p ** level) for _ in range(n * n))
+    s_flat = tuple(rng.below(p ** level) for _ in range(n * n))
+    for a, b in itertools.product(tables, repeat=2):
+        fa, fb = FractionTable(a.values), FractionTable(b.values)
+        _assert_matches(a.add(b), fa.add(fb))
+        _assert_matches(a.sub(b), fa.sub(fb))
+        _assert_matches(a.mul(b), fa.mul(fb))
+        assert (a == b) == (fa.values == fb.values)
+    for c in tables:
+        fc = FractionTable(c.values)
+        for k in (0, 1, -1, 2, Fraction(-3, 4), Fraction(6, 1)):
+            _assert_matches(c.scale(k), fc.scale(k))
+        left = _loop_translation_perm(p, level, n, a_flat, on_left=True)
+        right = _loop_translation_perm(p, level, n, s_flat, on_left=False)
+        _assert_matches(c.act_matrix_left(_rows(a_flat, n)), fc.gather(left))
+        _assert_matches(c.act_matrix_right(_rows(s_flat, n)), fc.gather(right))
+
+
+def test_c0_denominators_cancel_to_one():
+    half = c0_constant(2, 1, 2, Fraction(1, 2))
+    two = c0_constant(2, 1, 2, 2)
+    assert half.den == 2 and half.num == (1, 1, 1, 1)
+    product = half.mul(two)
+    assert (product.num, product.den) == ((1, 1, 1, 1), 1)
+    assert product == c0_constant(2, 1, 2, 1) and product.values == (1, 1, 1, 1)
+    thirds = C0Element(2, 1, 2, (Fraction(1, 3), Fraction(2, 3), 0, Fraction(-1, 3)))
+    assert thirds.add(thirds).add(thirds).den == 1
+    assert thirds.scale(3).num == (1, 2, 0, -1)
+    assert thirds.sub(thirds) == c0_constant(2, 1, 2, 0)
+    assert thirds.sub(thirds).den == 1
+    assert thirds.scale(0).den == 1
+
+
+def test_c0_zero_and_negative_tables():
+    zero = c0_constant(2, 1, 1, 0)
+    assert (zero.num, zero.den) == ((0, 0), 1) and zero.is_zero()
+    assert C0Element(2, 1, 1, (Fraction(0, 7), 0)) == zero
+    neg = C0Element(2, 1, 1, (Fraction(-2, 4), -3))
+    assert (neg.num, neg.den) == ((-1, -6), 2)
+    assert neg.values == (Fraction(-1, 2), -3)
+    assert not neg.is_zero()
+    assert C0Element(2, 1, 1, (-2, -12), 4) == neg  # numerators over a den are normalized
+    with pytest.raises(ValueError, match="den = 0 must be positive"):
+        C0Element(2, 1, 1, (1, 2), 0)
+    with pytest.raises(TypeError):
+        C0Element(2, 1, 1, (1, 0.5), 2)
+
+
+def test_c0_table_hashes_like_fraction_table():
+    ints = C0Element(2, 1, 2, (0, 2, 4, 6))
+    fracs = C0Element(2, 1, 2, (Fraction(0), Fraction(4, 2), Fraction(8, 2), Fraction(6)))
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert len({ints, fracs, C0Element(2, 1, 2, (0, 2, 4, 6), 1)}) == 1
+    assert ints != C0Element(2, 1, 2, (0, 2, 4, 6), 3)
+
+
+def _levels_within_cap(p, n):
+    level = 1
+    while (p ** level) ** (n * n) <= TABLE_CAP:
+        yield level
+        level += 1
+
+
+@pytest.mark.parametrize(
+    "p, n, level",
+    [(p, n, level) for p in (2, 3) for n in (1, 2, 3) for level in _levels_within_cap(p, n)],
+)
+def test_translation_perms_match_loop(p, n, level):
+    rng = SplitMix64(1000 * p + 100 * n + level)
+    q = p ** level
+    flat = tuple(rng.below(q) for _ in range(n * n))
+    flats = [flat, tuple(x + q * rng.below(5) - 2 * q for x in flat)]  # and an unreduced lift
+    for a_flat in flats:
+        for on_left in (True, False):
+            assert _translation_perm(p, level, n, a_flat, on_left) == _loop_translation_perm(
+                p, level, n, a_flat, on_left
+            )
 
 
 def test_class_function_rejects_bad_keys(s3):

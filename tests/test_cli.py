@@ -95,6 +95,30 @@ def test_group_above_order_cap_exits_3_before_listing(capsys):
     assert err == "error: group S12 has order above ORDER_CAP = 10000\n"
 
 
+@pytest.mark.parametrize(
+    "template, shown",
+    [("C{}", "'C111"), ("S{}", "'S111"), ("wr(S2,{})", "'wr(S2,111"), ("C2x(C{})", "'C111")],
+)
+def test_spec_number_longer_than_cap_exits_3(template, shown, capsys):
+    # 5000 digits pass the interpreter's int() limit of 4300; the spec is refused first
+    spec = template.format("1" * 5000)
+    code, out, err = run(["enumerate", "--kind", "hom-classes", "--group", spec], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"error: group spec {shown}" in err
+    assert "5000-digit number" in err and "ORDER_CAP = 10000" in err
+    assert "4300" not in err
+
+
+def test_spec_number_with_leading_zeros_is_read(capsys):
+    code, out, _ = run(
+        ["enumerate", "--kind", "hom-classes", "--group", "C" + "0" * 5000 + "3"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["group"] == "C3"
+
+
 def test_level_mismatch_exit_4(capsys):
     # wr(C2,4) needs level >= 3
     code, _, err = run(
@@ -300,6 +324,20 @@ def test_verify_report_is_sorted(capsys):
     lines = [l for l in out.splitlines() if l.startswith("[")]
     keys = [l.split("] ", 1)[1] for l in lines]
     assert keys == sorted(keys)
+
+
+def test_verify_timings_only_add_a_suffix(capsys):
+    import re
+
+    code, plain, _ = run(["verify", "--suite", "fgl"], capsys)
+    assert code == 0
+    code, timed, _ = run(["verify", "--suite", "fgl", "--timings"], capsys)
+    assert code == 0
+    suffix = re.compile(r"  \(\d+\.\d{3} s\)$")
+    timed_lines = timed.splitlines()
+    assert all(suffix.search(l) for l in timed_lines if l.startswith("["))
+    assert "\n".join(suffix.sub("", l) for l in timed_lines) + "\n" == plain
+    assert not any(suffix.search(l) for l in plain.splitlines())
 
 
 def test_verify_fgl_passes(capsys):

@@ -13,10 +13,13 @@ from charpow.lattice import (
     in_lattice,
     mat_det,
     mat_mul,
+    reduce_against,
     row_hnf,
+    row_reduce,
     snf,
     solve_integer,
 )
+from charpow.rng import SplitMix64
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -226,3 +229,63 @@ def test_column_span_basis_rectangular():
     lb = LatticeBasis(2, basis)
     assert in_lattice(lb, (1, 1))
     assert not in_lattice(lb, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# row reduction with a pivot map, against the pivot-rescanning version
+
+
+def _oracle_pivot(row):
+    return next((i for i, x in enumerate(row) if x != 0), None)
+
+
+def _oracle_reduce_against(row, basis):
+    row = list(row)
+    for b in basis:
+        c = row[_oracle_pivot(b)]
+        if c != 0:
+            row = [x - c * y for x, y in zip(row, b)]
+    return row
+
+
+def _oracle_row_reduce(rows):
+    """Oracle: each step rescans every basis row for its pivot."""
+    basis = []
+    for row in rows:
+        row = _oracle_reduce_against(row, basis)
+        piv = _oracle_pivot(row)
+        if piv is None:
+            continue
+        inv = Fraction(1) / row[piv]
+        row = [x * inv for x in row]
+        basis = [
+            [x - b[piv] * y for x, y in zip(b, row)] if b[piv] != 0 else b
+            for b in basis
+        ]
+        basis.append(row)
+        basis.sort(key=_oracle_pivot)
+    return basis
+
+
+def test_row_reduce_matches_rescanning_oracle_on_seeded_matrices():
+    rng = SplitMix64(2024)
+    for _ in range(150):
+        nrows, ncols = 1 + rng.below(9), 1 + rng.below(9)
+        rows = [
+            [Fraction(rng.below(11) - 5) if rng.below(3) else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        basis = row_reduce(rows)
+        assert basis == _oracle_row_reduce(rows)
+        probe = [Fraction(rng.below(7) - 3, 1 + rng.below(3)) for _ in range(ncols)]
+        assert reduce_against(probe, basis) == _oracle_reduce_against(probe, basis)
+
+
+def test_row_reduce_matches_rescanning_oracle_on_transfer_ideal():
+    from charpow.classfn import transfer_ideal
+    from charpow.groups import build_group
+
+    ideal = transfer_ideal(2, 2, 2, 4, build_group("C2"))
+    rows = [list(map(Fraction, g)) for g in ideal.generators]
+    assert len(rows) == 1028
+    assert row_reduce(rows) == _oracle_row_reduce(rows)
