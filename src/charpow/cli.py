@@ -85,67 +85,48 @@ def _make_section(args, bound: int):
 
 
 def cmd_enumerate(args) -> int:
+    """List one kind; only the requested format's items or rows are built."""
+    meta = {"p": args.p, "n": args.n}
     if args.kind == "subgroups":
-        subs = enumerate_subgroups(args.p, args.n, args.k)
-        items = [{"matrix": [list(r) for r in h.matrix], "order": h.order}
-                 for h in subs]
-        rows = [(i, h.order, _matrix_cell(h.matrix)) for i, h in enumerate(subs)]
+        listing = enumerate_subgroups(args.p, args.n, args.k)
+        meta["k"] = args.k
         header = ("index", "order", "matrix")
-        payload = {"kind": "subgroups", "p": args.p, "n": args.n, "k": args.k,
-                   "count": len(items), "items": items}
+        item = lambda h: {"matrix": h.matrix, "order": h.order}
+        row = lambda h: (h.order, _matrix_cell(h.matrix))
     elif args.kind == "sums":
-        sums = enumerate_sums(args.p, args.n, args.m)
-        items = [
-            {"total": s.total,
-             "summands": [[list(r) for r in h.matrix] for h in s.summands]}
-            for s in sums
-        ]
-        rows = [
-            (i, s.total, "|".join(_matrix_cell(h.matrix) for h in s.summands))
-            for i, s in enumerate(sums)
-        ]
+        listing = enumerate_sums(args.p, args.n, args.m)
+        meta["m"] = args.m
         header = ("index", "total", "summands")
-        payload = {"kind": "sums", "p": args.p, "n": args.n, "m": args.m,
-                   "count": len(items), "items": items}
+        item = lambda s: {"total": s.total,
+                          "summands": [h.matrix for h in s.summands]}
+        row = lambda s: (s.total,
+                         "|".join(_matrix_cell(h.matrix) for h in s.summands))
     elif args.kind == "hom-classes":
         group = build_group(args.group)
-        classes = enumerate_hom_classes(group, args.n, args.p)
-        items = [
-            {"rep": list(c.rep),
-             "elements": [str(group.elements[i]) for i in c.rep]}
-            for c in classes
-        ]
-        rows = [(i, " ".join(map(str, c.rep))) for i, c in enumerate(classes)]
+        listing = enumerate_hom_classes(group, args.n, args.p)
+        meta["group"] = group.name
         header = ("index", "rep")
-        payload = {"kind": "hom-classes", "group": group.name, "p": args.p,
-                   "n": args.n, "count": len(items), "items": items}
+        item = lambda c: {"rep": c.rep,
+                          "elements": [str(group.elements[i]) for i in c.rep]}
+        row = lambda c: (" ".join(map(str, c.rep)),)
     elif args.kind == "wreath-classes":
-        base = build_group(args.group)
-        group = wreath_group(base, args.m)
-        classes = enumerate_hom_classes(group, args.n, args.p)
-        items = []
-        for c in classes:
-            dec = wreath_class_to_decorated(c)
-            items.append(
-                {
-                    "rep": list(c.rep),
-                    "decorated": [
-                        {"subgroup": [list(r) for r in h.matrix],
-                         "class": list(a.rep)}
-                        for h, a in dec.summands
-                    ],
-                }
-            )
-        rows = [(i, " ".join(map(str, c.rep))) for i, c in enumerate(classes)]
+        group = wreath_group(build_group(args.group), args.m)
+        listing = enumerate_hom_classes(group, args.n, args.p)
+        meta.update(group=group.name, m=args.m)
         header = ("index", "rep")
-        payload = {"kind": "wreath-classes", "group": group.name, "p": args.p,
-                   "n": args.n, "m": args.m, "count": len(items), "items": items}
+        item = lambda c: {"rep": c.rep, "decorated": [
+            {"subgroup": h.matrix, "class": a.rep}
+            for h, a in wreath_class_to_decorated(c).summands]}
+        row = lambda c: (" ".join(map(str, c.rep)),)
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     if args.format == "json":
+        items = [item(x) for x in listing]
+        payload = {"kind": args.kind, **meta, "count": len(items), "items": items}
         _emit(_canonical_json(payload), args.out)
     else:
-        rows = [("count", len(payload["items"]), *[""] * (len(header) - 2))] + rows
+        rows = [("count", len(listing), *[""] * (len(header) - 2))]
+        rows += [(i, *row(x)) for i, x in enumerate(listing)]
         _emit(_csv_text(header, rows), args.out)
     return 0
 

@@ -29,7 +29,6 @@ from .lattice import (
     is_prime,
     solve_integer,
 )
-from .rng import SplitMix64
 from .torsion import (
     SumOfSubgroups,
     annihilator_lattice,
@@ -37,7 +36,7 @@ from .torsion import (
 )
 
 ORDER_CAP = 10_000
-FULL_CHECK_LIMIT = 200
+_CHECK_BLOCK = 1 << 18  # table entries per associativity comparison
 
 
 class FiniteGroup:
@@ -73,22 +72,37 @@ class FiniteGroup:
         self._subgroup_groups = {}
 
     def _check_associativity(self):
+        """Light's test on a generating set: exhaustive, and cheap.
+
+        The g with (xg)y == x(gy) for all x, y form a set closed under
+        products that holds the identity; once it holds generators whose
+        products reach every element, it is the whole group.  Rows are
+        compared in blocks of about _CHECK_BLOCK entries, so no transient
+        grows with the square of the order.
+        """
+        table, n = self.table, self.order
+        rows = max(1, _CHECK_BLOCK // n)
+        for g in self._generators():
+            left, right = table[:, g], table[g]
+            for r in range(0, n, rows):
+                block = table[r:r + rows]
+                if (table[left[r:r + rows]] != np.take(block, right, axis=1)).any():
+                    raise ValueError(f"multiplication table of {self.name} is not associative")
+
+    def _generators(self):
+        """Greedy generators: each is the first element that products of the others miss."""
         table = self.table
-        n = self.order
-        if n <= FULL_CHECK_LIMIT:
-            left = table[table.astype(np.intp), :]
-            right = table[:, table.astype(np.intp)]
-            ok = (left == right).all()
-        else:
-            rng = SplitMix64(0)
-            ok = True
-            for _ in range(20_000):
-                i, j, k = rng.below(n), rng.below(n), rng.below(n)
-                if table[table[i, j], k] != table[i, table[j, k]]:
-                    ok = False
-                    break
-        if not ok:
-            raise ValueError(f"multiplication table of {self.name} is not associative")
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        gens = []
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            frontier = np.flatnonzero(reached)
+            while frontier.size:  # breadth-first: right-multiply by every generator
+                before = reached.copy()
+                reached[table[frontier[:, None], gens]] = True
+                frontier = np.flatnonzero(reached ^ before)
+        return gens
 
     @property
     def order(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SingularMatrixError
@@ -41,6 +41,7 @@ class TorsionSubgroup:
 
     p: int
     matrix: Matrix  # A_H
+    order: int = field(init=False, compare=False, repr=False)  # det A_H
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", freeze(self.matrix))
@@ -51,17 +52,11 @@ class TorsionSubgroup:
             det *= self.matrix[i][i]
         if not is_p_power(det, self.p):
             raise ValueError("subgroup matrix must have p-power determinant")
+        object.__setattr__(self, "order", det)
 
     @property
     def n(self) -> int:
         return len(self.matrix)
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for i in range(self.n):
-            out *= self.matrix[i][i]
-        return out
 
     def is_trivial(self) -> bool:
         return self.order == 1

@@ -508,14 +508,15 @@ def suite_fgl(cfg: VerifyConfig):
     for p in (2, 3):
         mult = build_multiplicative(RationalCoefficients(p), p + 2)
         yield "mult-weierstrass", f"p={p}", quotient_rank(mult, [1], 1)
+    honda = {}
     for p, n in ((2, 1), (2, 2), (3, 1)):
-        law = build_honda(p, n, default_truncation(p, n))
+        law = honda[p, n] = build_honda(p, n, default_truncation(p, n))
         params = f"p={p} n={n}"
         yield ("honda-height", params, has_height(law, n),
                f"[p](x) has first term x^{p ** n} mod p")
         yield "honda-axioms", params, fgl_axioms(law)
         yield "i-series-additivity", params, i_series_additive(law, 4)
-    h22 = build_honda(2, 2, default_truncation(2, 2))
+    h22 = honda[2, 2]
     rank1, basis = quotient_ring_rank(h22, 1)
     yield ("quotient-rank", "honda(2) p=2 k=1", quotient_rank(h22, [1], 2),
            f"rank {rank1}, basis {basis}")

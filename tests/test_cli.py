@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -66,6 +67,31 @@ def test_csv_has_count_header(capsys):
     lines = out.splitlines()
     assert lines[0] == "index,order,matrix"
     assert lines[1].startswith("count,7")
+
+
+# SHA-256 of each listing, recorded before the formats were built separately
+LISTING_DIGESTS = {
+    ("sums", "json"): "bed48a51ffc5ac14c6f678e31e359d2277fa083ec7118a1a6152a52b728ce9c7",
+    ("sums", "csv"): "bed520e88276ecfd2476e049ad1609be732d0d9436ef352e32e8b0c55114b27b",
+    ("hom-classes", "json"): "b7a4d55c2ed05579aa8cd52dde2dd7a9a5f4c976fac0406190dc33467be953dd",
+    ("hom-classes", "csv"): "f9de1c14af65792ec60f7972032503f1ae7b41437b4a696bbaf9289fd6dcb239",
+    ("wreath-classes", "json"): "af2fc95871feea656dd9456156c205928b96a4659746e5df867eae6cef8b1290",
+    ("wreath-classes", "csv"): "e6e8d0614bed84da3d69d56e73018240e317a8ac3d76b21d38e2928be2b734c4",
+}
+LISTING_ARGS = {
+    "sums": ["--n", "3", "--m", "6"],
+    "hom-classes": ["--group", "S4", "--n", "2"],
+    "wreath-classes": ["--group", "C2", "--m", "3", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(LISTING_DIGESTS))
+def test_listing_bytes_are_pinned(kind, fmt, capsys):
+    code, out, _ = run(
+        ["enumerate", "--kind", kind, *LISTING_ARGS[kind], "--format", fmt], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[kind, fmt]
 
 
 def test_bad_group_spec_exit_2(capsys):

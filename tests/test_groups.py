@@ -13,6 +13,7 @@ from charpow.errors import (
     NotASubgroupError,
     NotPPowerTupleError,
 )
+from charpow import groups as groups_module
 from charpow.groups import (
     DecoratedSum,
     FiniteGroup,
@@ -45,6 +46,7 @@ from charpow.torsion import (
     trivial_subgroup,
 )
 from charpow.verify import (
+    SUITES,
     abelian_classes_cover,
     digit_concat_covers,
     top_split_covers,
@@ -53,6 +55,7 @@ from charpow.verify import (
     tuple_sum_inverse,
     wreath_roundtrip,
     wreath_trivial_g,
+    run_suites,
 )
 from fractions import Fraction
 
@@ -172,6 +175,15 @@ def test_subgroup_table_matches_label_multiplication():
         assert (h.table == _closure_table(h.elements, mul)).all()
 
 
+LOOP5 = np.array([
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+])
+
+
 def test_finite_group_rejects_bad_tables():
     # a - b mod 3: a Latin square whose only right identity 0 is no left identity
     a = np.arange(3)
@@ -179,17 +191,98 @@ def test_finite_group_rejects_bad_tables():
         FiniteGroup("minus3", range(3), (a[:, None] - a) % 3)
     # a loop of order 5: identity 0 and every element its own inverse,
     # which no group of order 5 has
-    loop = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup("loop5", range(5), loop)
+        FiniteGroup("loop5", range(5), LOOP5)
     with pytest.raises(ValueError, match=r"has 5 elements but a \(4, 5\) table"):
-        FiniteGroup("short", range(5), loop[:4])
+        FiniteGroup("short", range(5), LOOP5[:4])
+
+
+# ---------------------------------------------------------------------------
+# Light's test on generators against the exhaustive check it replaced
+
+
+def _associative(table) -> bool:
+    """Oracle: (xy)z == x(yz) for all n^3 triples."""
+    t = np.asarray(table).astype(np.intp)
+    return bool((t[t, :] == t[:, t]).all())
+
+
+def _light_accepts(name, elements, table) -> bool:
+    """FiniteGroup's verdict on associativity; other rejections propagate."""
+    try:
+        FiniteGroup(name, elements, table)
+    except ValueError as exc:
+        if "not associative" not in str(exc):
+            raise
+        return False
+    return True
+
+
+def _corruptions(group):
+    """Tables that keep identity and inverses: in row a, one entry overwritten
+    and two entries swapped, away from the identity's row, column and a^-1."""
+    t, e = group.table, group.identity
+    a = max(x for x in range(group.order) if x != e) if group.order > 1 else e
+    cols = [x for x in range(group.order) if x not in (e, group.inverse(a))]
+    if len(cols) < 2:
+        return []
+    b, c = cols[-2:]
+    overwritten = t.copy()
+    overwritten[a, b] = t[a, c]
+    swapped = t.copy()
+    swapped[a, [b, c]] = t[a, [c, b]]
+    return [overwritten, swapped]
+
+
+@pytest.fixture(scope="module")
+def suite_groups():
+    """Every group of order <= 200 the verify suites build, with its subgroup groups."""
+    run_suites(list(SUITES))
+    built = list(groups_module._GROUPS.values())
+    built += [h for g in built for h in g._subgroup_groups.values()]
+    return [g for g in built if g.order <= 200]
+
+
+def test_light_test_agrees_with_exhaustive_check(suite_groups):
+    names = {g.name for g in suite_groups}
+    assert {"S3", "S5", "wr(C2,3)", "wr(S3,2)", "(S3xS4)"} <= names
+    for g in suite_groups:
+        assert _associative(g.table), g.name
+        for bad in _corruptions(g):
+            assert _light_accepts(g.name, g.elements, bad) == _associative(bad), g.name
+
+
+@pytest.mark.parametrize("spec, row, col", [("S5", 100, 110), ("S6", 100, 200), ("S6", 719, 1)])
+def test_one_wrong_entry_is_rejected(spec, row, col):
+    # S6 is above order 200, where a check of 20 000 sampled triples
+    # once accepted both S6 tables.
+    g = build_group(spec)
+    bad = g.table.copy()
+    bad[row, col] = bad[row, col + 1]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(f"bad {spec}", g.elements, bad)
+
+
+def _loop6():
+    # C6 with two entries of row 1 swapped keeps identity 0 and inverses
+    t = build_group("C6").table.copy()
+    t[1, [2, 3]] = t[1, [3, 2]]
+    return t
+
+
+def _loop5_times_c2():
+    # element 2q + c is (q, c): the first generator found, (0, 1), associates
+    # with every pair, so only a later generator exposes LOOP5
+    c2 = np.array([[0, 1], [1, 0]])
+    return (2 * LOOP5[:, None, :, None] + c2[None, :, None, :]).reshape(10, 10)
+
+
+@pytest.mark.parametrize("make", [_loop6, _loop5_times_c2])
+def test_non_associative_loop_is_rejected(make):
+    t = make()
+    assert not _associative(t)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup("loop", range(len(t)), t)
 
 
 def test_trivial_group_classes():

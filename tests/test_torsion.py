@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from charpow.lattice import PAdicMatrix, mat_det, mat_mul
 from charpow.rng import SplitMix64, random_unimodular
 from charpow.torsion import (
     SumOfSubgroups,
+    TorsionSubgroup,
     annihilator_lattice,
     enumerate_subgroups,
     enumerate_sums,
@@ -183,6 +185,26 @@ def test_sums_canonical_order_and_uniqueness():
     assert len(set(sums)) == len(sums)
     assert list(sums) == sorted(sums, key=lambda s: s.sort_key())
     assert all(s.total == 4 for s in sums)
+
+
+def test_stored_order_stays_out_of_comparisons():
+    h = TorsionSubgroup(2, ((2, 1), (0, 4)))
+    k = TorsionSubgroup(2, ((2, 1), (0, 4)))
+    assert h.order == 8
+    object.__setattr__(k, "order", 1)
+    assert h == k and hash(h) == hash(k)
+    assert not h < k and not k < h
+    assert repr(h) == repr(k) == "TorsionSubgroup(p=2, matrix=((2, 1), (0, 4)))"
+
+
+def test_sums_n3_m10_are_pinned():
+    # count and order recorded before subgroup orders were stored
+    sums = enumerate_sums(2, 3, 10)
+    assert len(sums) == 11272
+    listing = repr([[h.matrix for h in s.summands] for s in sums])
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "8064f1c785f6fb7faefbb29baf519263663c1bec9626debc38cbde320d265bda"
+    )
 
 
 def test_sum_multiset_sorted():
