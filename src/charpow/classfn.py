@@ -216,7 +216,10 @@ def c0_coordinate(p, n, level) -> C0Element:
 
 
 def c0_delta(p, n, level, t: int) -> C0Element:
+    """Indicator of table index t."""
     size = _table_size(p, n, level)
+    if not 0 <= t < size:
+        raise ValueError(f"t = {t} is outside 0..{size - 1} (table size {size})")
     return C0Element(p, n, level, tuple(int(i == t) for i in range(size)))
 
 

@@ -29,6 +29,7 @@ from .errors import (
     CharpowError,
     GroupTooLargeError,
     LevelMismatchError,
+    ListingTooLargeError,
     SectionOutOfRangeError,
     TableTooLargeError,
 )
@@ -75,12 +76,21 @@ def _matrix_cell(matrix) -> str:
     return ";".join(" ".join(str(x) for x in row) for row in matrix)
 
 
+def _spec_int(flag: str, spec: str) -> int:
+    """The integer after the colon of a built-in spec, or a ValueError naming the flag."""
+    suffix = spec.split(":", 1)[1]
+    try:
+        return int(suffix)
+    except ValueError:
+        raise ValueError(f"{flag} {spec!r}: {suffix!r} is not an integer") from None
+
+
 def _make_section(args, bound: int):
     spec = args.section
     if spec == "canonical":
         return canonical_section(args.p, args.n, bound)
     if spec.startswith("seeded:"):
-        return random_section(args.p, args.n, bound, int(spec.split(":", 1)[1]))
+        return random_section(args.p, args.n, bound, _spec_int("--section", spec))
     raise ValueError(f"bad section spec {spec!r}")
 
 
@@ -137,9 +147,12 @@ def _builtin_generator(name: str, group, p, n, level) -> ClassFunction:
     if name == "coord":
         return constant_value(group, p, n, level, c0_coordinate(p, n, level))
     if name.startswith("delta:"):
-        return constant_value(
-            group, p, n, level, c0_delta(p, n, level, int(name.split(":", 1)[1]))
-        )
+        t = _spec_int("--generator", name)
+        try:
+            delta = c0_delta(p, n, level, t)
+        except ValueError as exc:
+            raise ValueError(f"--generator {name!r}: {exc}") from None
+        return constant_value(group, p, n, level, delta)
     raise ValueError(f"unknown generator {name!r}")
 
 
@@ -265,7 +278,7 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return args.func(args)
-    except (GroupTooLargeError, TableTooLargeError) as exc:
+    except (GroupTooLargeError, ListingTooLargeError, TableTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except LevelMismatchError as exc:

@@ -25,6 +25,10 @@ class TableTooLargeError(CharpowError):
     """A coefficient table would exceed the supported entry cap."""
 
 
+class ListingTooLargeError(CharpowError):
+    """An enumeration would list more items than the supported cap."""
+
+
 class NotPPowerTupleError(CharpowError):
     """A tuple contains an element whose order is not a power of p."""
 

@@ -205,15 +205,7 @@ class TruncatedSeries:
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)); inner must have zero constant term."""
         assert inner.coeffs[0] == self.ring.convert(0)
-        d = self.trunc
-        zero = self.ring.convert(0)
-        out = TruncatedSeries.zero(self.ring, d)
-        # Horner from the top degree down
-        for c in reversed(self.coeffs[1:]):
-            term = TruncatedSeries(self.ring, (self.ring.convert(c),) + (zero,) * d)
-            out = out.add(term).mul(inner)
-        const = TruncatedSeries(self.ring, (self.ring.convert(self.coeffs[0]),) + (zero,) * d)
-        return out.add(const)
+        return TruncatedSeries.from_poly(self.to_poly().substitute([inner.to_poly()]))
 
     def is_zero(self) -> bool:
         z = self.ring.convert(0)
@@ -331,11 +323,7 @@ def build_honda_rational(p: int, n: int, trunc: int) -> FGL:
     ly = TruncatedPoly.make(
         ring, 2, trunc, {(0, e): c for e, c in enumerate(log.coeffs)}
     )
-    u = lx.add(ly)
-    # F = exp(u) by Horner in u; exp has no constant term
-    law = TruncatedPoly.zero(ring, 2, trunc)
-    for c in reversed(exp.coeffs[1:]):
-        law = law.add(TruncatedPoly.const(ring, 2, trunc, c)).mul(u)
+    law = exp.to_poly().substitute([lx.add(ly)])
     for _, c in law.coeffs:
         if Fraction(c).denominator % p == 0:
             raise NonIntegralCoefficientError(

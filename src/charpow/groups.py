@@ -653,73 +653,39 @@ def split_product_class(alpha: TupleClass):
 # the bijections with (decorated) sums of subgroups
 
 
-def _perm_orbits(perms, m):
-    seen = [False] * m
-    orbits = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            x = frontier.pop()
-            for s in perms:
-                y = s[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.add(y)
-                    frontier.append(y)
-        orbits.append(sorted(orbit))
-    return orbits
-
-
-def _perm_power(s, e, m):
-    out = tuple(range(m))
-    for _ in range(e):
-        out = tuple(s[out[i]] for i in range(m))
-    return out
-
-
-def _stabilizer_basis(perms, orbit, p, n) -> LatticeBasis:
-    """Column-HNF basis of {lam : prod s_j^{lam_j} fixes the orbit base point}."""
-    m = len(perms[0])
-    x0 = orbit[0]
-    exp = 1
-    for s in perms:
-        k = 1
-        t = s
-        while t != tuple(range(m)):
-            t = tuple(s[t[i]] for i in range(m))
-            k += 1
-        while exp < k:
-            exp *= p
-    powers = [
-        [_perm_power(s, e, m) for e in range(exp)] for s in perms
-    ]
-    cols = [[exp * int(i == j) for i in range(n)] for j in range(n)]
-    for lam in itertools.product(range(exp), repeat=n):
-        pos = x0
-        for j in range(n):
-            pos = powers[j][lam[j]][pos]
-        if pos == x0:
-            cols.append(list(lam))
-    stacked = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return LatticeBasis(p, column_span_basis(stacked))
-
-
 def _orbit_subgroups(perms, p: int, n: int):
     """(base point, annihilator basis, subgroup) for each orbit of a permutation tuple.
 
-    Orbit-stabilizer: the orbit is Z^n / Lambda with Lambda the stabilizer
-    of its base point, so the subgroup H with annihilator Lambda has the
-    orbit's size.
+    Z^n acts through the commuting perms.  One walk per orbit, from its
+    least point x0, records a word lam_y with prod s_j^{lam_y[j]} x0 = y;
+    each step y -> s_j(y) gives the Schreier generator lam_y + e_j -
+    lam_{s_j(y)}, and these span the stabilizer Lambda of x0.
+    Orbit-stabilizer: the orbit is Z^n / Lambda, so the subgroup H with
+    annihilator Lambda has the orbit's size.
     """
-    for orbit in _perm_orbits(perms, len(perms[0])):
-        basis = _stabilizer_basis(perms, orbit, p, n)
+    seen = set()
+    for x0 in range(len(perms[0])):
+        if x0 in seen:
+            continue
+        words = {x0: (0,) * n}
+        frontier = [x0]
+        gens = []
+        while frontier:
+            y = frontier.pop()
+            lam = words[y]
+            for j, s in enumerate(perms):
+                step = tuple(x + (i == j) for i, x in enumerate(lam))
+                z = s[y]
+                if z in words:
+                    gens.append(tuple(a - b for a, b in zip(step, words[z])))
+                else:
+                    words[z] = step
+                    frontier.append(z)
+        seen.update(words)
+        basis = LatticeBasis(p, column_span_basis(tuple(zip(*gens))))
         h = subgroup_from_annihilator(p, basis)
-        assert h.order == len(orbit)
-        yield orbit[0], basis, h
+        assert h.order == len(words)
+        yield x0, basis, h
 
 
 def _reduce_mod_basis(basis: Matrix, v):

@@ -1,19 +1,23 @@
 """Exact integer-matrix linear algebra specialized to p-local questions.
 
-Beside the Hermite and Smith forms below, ``row_reduce`` gives the reduced
-row echelon basis of rational rows (rank, membership, inverses).
+Matrices are immutable tuples of tuples of Python ints.  Two canonical
+Hermite forms are used throughout the package:
 
-Matrices are immutable tuples of tuples of Python ints.  Two Hermite forms
-are used throughout the package:
-
-* column HNF (``hnf``): canonical basis of the *column span* of a matrix.
-  Upper triangular, positive pivots, entries to the right of each pivot
-  reduced into ``[0, pivot)``.  This is the ``LatticeBasis`` form.
+* column HNF (``hnf``, ``column_span_basis``): canonical basis of the
+  *column span* of a matrix.  Upper triangular, positive pivots, entries to
+  the right of each pivot reduced into ``[0, pivot)``.  This is the
+  ``LatticeBasis`` form.
 * row HNF (``row_hnf``): canonical representative of the *left*
   GL_n(Z)-orbit of a matrix.  Upper triangular, positive pivots, entries
   above each pivot reduced modulo the pivot of their column.  Two matrices
   have the same row HNF iff they define the same kernel on (Q_p/Z_p)^n,
   which is what makes subgroup equality a plain equality test.
+
+Both come from one xgcd column echelon (``_column_echelon``): the row HNF
+is the column HNF of the anti-transpose, flipped back.  The Smith form
+(``snf``) alternates column and row Hermite forms until the matrix is
+diagonal.  Beside these, ``row_reduce`` gives the reduced row echelon basis
+of rational rows (rank, membership, inverses).
 """
 
 from __future__ import annotations
@@ -331,88 +335,40 @@ def hnf(entries, p: int):
     return LatticeBasis(p, full[:n]), full[n:]
 
 
+def _flip(entries) -> Matrix:
+    """Anti-transpose: _flip(M)[a][b] = M[n-1-b][n-1-a].
+
+    It reverses products, _flip(U . A) = _flip(A) . _flip(U), keeps upper
+    triangular matrices upper triangular, and carries the row-HNF
+    conditions onto the column-HNF ones.
+    """
+    return tuple(zip(*entries[::-1]))[::-1]
+
+
 def row_hnf(entries) -> Matrix:
     """Row Hermite normal form: the canonical element of the left GL_n(Z)-orbit.
 
     Upper triangular with positive pivots; above-pivot entries lie in
-    [0, pivot of their column).
+    [0, pivot of their column).  Since the HNF is unique, it is the flip of
+    the column HNF of the flipped matrix.
     """
-    n = len(entries)
-    rows = [list(r) for r in entries]
-    for c in range(n):
-        acc = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if acc is None:
-            raise SingularMatrixError("row_hnf requires a nonsingular matrix")
-        rows[c], rows[acc] = rows[acc], rows[c]
-        for i in range(c + 1, n):
-            if rows[i][c] == 0:
-                continue
-            a, b = rows[c][c], rows[i][c]
-            g, x, y = _xgcd(a, b)
-            rc, ri = rows[c], rows[i]
-            rows[c] = [x * u + y * v for u, v in zip(rc, ri)]
-            rows[i] = [(a // g) * v - (b // g) * u for u, v in zip(rc, ri)]
-    for j in range(n):
-        if rows[j][j] < 0:
-            rows[j] = [-x for x in rows[j]]
-        for i in range(j):
-            q = rows[i][j] // rows[j][j]
-            if q:
-                rows[i] = [u - q * v for u, v in zip(rows[i], rows[j])]
-    return freeze(rows)
+    return _flip(column_span_basis(_flip(entries)))
 
 
 def snf(m: PAdicMatrix) -> tuple:
     """Elementary divisors of Z^n / M Z^n, returned as their p-parts.
 
-    The chain d_1 | d_2 | ... | d_n is preserved.
+    Column and row Hermite forms alternate until the matrix is diagonal
+    (Kannan-Bachem): each round the bottom-right pivot divides the one
+    before, and once it divides its row and column the next form clears
+    them.  The chain d_1 | d_2 | ... | d_n is preserved.
     """
+    if m.det == 0:
+        raise SingularMatrixError("snf requires a nonsingular matrix")
     n = m.n
-    a = [list(row) for row in m.entries]
-
-    def improve(k):
-        # clear row/column k against the pivot at (k, k)
-        while True:
-            for i in range(k + 1, n):
-                if a[i][k] % a[k][k] != 0:
-                    g, x, y = _xgcd(a[k][k], a[i][k])
-                    rk, ri = a[k], a[i]
-                    ck, ci = a[k][k] // g, a[i][k] // g
-                    a[k] = [x * u + y * v for u, v in zip(rk, ri)]
-                    a[i] = [ck * v - ci * u for u, v in zip(rk, ri)]
-            for i in range(k + 1, n):
-                q = a[i][k] // a[k][k]
-                if q:
-                    a[i] = [u - q * v for u, v in zip(a[i], a[k])]
-            for j in range(k + 1, n):
-                if a[k][j] % a[k][k] != 0:
-                    g, x, y = _xgcd(a[k][k], a[k][j])
-                    ck, cj = a[k][k] // g, a[k][j] // g
-                    for r in range(n):
-                        u, v = a[r][k], a[r][j]
-                        a[r][k] = x * u + y * v
-                        a[r][j] = ck * v - cj * u
-            for j in range(k + 1, n):
-                q = a[k][j] // a[k][k]
-                if q:
-                    for r in range(n):
-                        a[r][j] -= q * a[r][k]
-            if all(a[i][k] == 0 for i in range(k + 1, n)) and all(
-                a[k][j] == 0 for j in range(k + 1, n)
-            ):
-                return
-
-    for k in range(n):
-        pivot = next(
-            ((i, j) for i in range(k, n) for j in range(k, n) if a[i][j] != 0), None
-        )
-        if pivot is None:
-            raise SingularMatrixError("snf requires a nonsingular matrix")
-        i, j = pivot
-        a[k], a[i] = a[i], a[k]
-        for r in range(n):
-            a[r][k], a[r][j] = a[r][j], a[r][k]
-        improve(k)
+    a = m.entries
+    while any(a[i][j] for i in range(n) for j in range(n) if i != j):
+        a = mat_transpose(column_span_basis(mat_transpose(column_span_basis(a))))
     d = [abs(a[i][i]) for i in range(n)]
     # enforce d_1 | d_2 | ... | d_n
     for i in range(n - 1):

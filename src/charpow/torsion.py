@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import SingularMatrixError
+from .errors import ListingTooLargeError, SingularMatrixError
 from .lattice import (
     LatticeBasis,
     Matrix,
@@ -33,6 +33,8 @@ from .lattice import (
     row_hnf,
     scalar_matrix,
 )
+
+LISTING_CAP = 100_000  # most subgroups, sums, or summands of one sum a listing holds
 
 
 @dataclass(frozen=True, order=True)
@@ -153,6 +155,14 @@ def enumerate_subgroups(p: int, n: int, k: int):
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    # column j has j free entries above its pivot p^e_j, hence prod p^(e_j j) matrices
+    count = 0
+    for exps in _compositions(k, n):
+        count += math.prod(p ** (e * j) for j, e in enumerate(exps))
+        if count > LISTING_CAP:
+            raise ListingTooLargeError(
+                f"k = {k}: more than LISTING_CAP = {LISTING_CAP} subgroups"
+            )
     out = []
     for exps in _compositions(k, n):
         diag = [p ** e for e in exps]
@@ -217,8 +227,18 @@ def max_subgroup_exponent(p: int, m: int) -> int:
 
 def enumerate_sums(p: int, n: int, m: int):
     """All formal sums of subgroups with orders adding up to m, canonically ordered."""
-    by_order = {p ** e: enumerate_subgroups(p, n, e)
-                for e in range(max_subgroup_exponent(p, m) + 1)}
+    if m > LISTING_CAP:
+        raise ListingTooLargeError(
+            f"m = {m}: the sum of m trivial subgroups has more than "
+            f"LISTING_CAP = {LISTING_CAP} summands"
+        )
+    too_large = ListingTooLargeError(f"m = {m}: more than LISTING_CAP = {LISTING_CAP} sums")
+    try:
+        by_order = {p ** e: enumerate_subgroups(p, n, e)
+                    for e in range(max_subgroup_exponent(p, m) + 1)}
+    except ListingTooLargeError:
+        # each subgroup H of order p^e <= m, padded with trivial ones, is a sum
+        raise too_large from None
     powers = list(by_order)
 
     sums = []
@@ -230,6 +250,8 @@ def enumerate_sums(p: int, n: int, m: int):
                 for q, c in chosen
             ]
             for combo in itertools.product(*pools):
+                if len(sums) == LISTING_CAP:
+                    raise too_large
                 sums.append(SumOfSubgroups(tuple(itertools.chain(*combo))))
             return
         for q in reversed(powers):

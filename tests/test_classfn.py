@@ -913,3 +913,9 @@ BAD_INSTANCES = {
 @pytest.mark.parametrize("check", sorted(BAD_INSTANCES))
 def test_check_fails_on_bad_instance(check, section):
     assert BAD_INSTANCES[check](section) is False
+
+
+@pytest.mark.parametrize("t", [-1, 4, 99999])
+def test_c0_delta_rejects_an_index_outside_the_table(t):
+    with pytest.raises(ValueError, match=rf"^t = {t} is outside 0\.\.3 \(table size 4\)$"):
+        c0_delta(2, 1, 2, t)

@@ -440,3 +440,44 @@ def test_exit_code_contract(command, p, n, level, m, k, group):
         assert "ORDER_CAP" in err or "TABLE_CAP" in err
     if code == 4:
         assert "level" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--kind", "subgroups", "--k", "30"],
+         "error: k = 30: more than LISTING_CAP = 100000 subgroups\n"),
+        (["enumerate", "--kind", "sums", "--n", "3", "--m", "40"],
+         "error: m = 40: more than LISTING_CAP = 100000 sums\n"),
+    ],
+)
+def test_listing_above_cap_exits_3(argv, message, capsys):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 10
+    assert (code, out, err) == (3, "", message)
+
+
+# n = 2, level = 2 at p = 2: a table of (2^2)^(2*2) = 256 entries, indices 0..255
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["--generator", "delta:256"], "--generator 'delta:256': t = 256 is outside 0..255 (table size 256)"),
+        (["--generator", "delta:99999"], "--generator 'delta:99999': t = 99999 is outside 0..255"),
+        (["--generator", "delta:-1"], "--generator 'delta:-1': t = -1 is outside 0..255"),
+        (["--generator", "delta:abc"], "--generator 'delta:abc': 'abc' is not an integer"),
+        (["--section", "seeded:abc"], "--section 'seeded:abc': 'abc' is not an integer"),
+        (["--section", "seeded:"], "--section 'seeded:': '' is not an integer"),
+    ],
+)
+def test_bad_builtin_spec_suffix_exits_2_naming_the_flag(argv, shown, capsys):
+    code, out, err = run(["powerop", "--m", "2", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {shown}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t", [0, 255])
+def test_delta_at_either_end_of_the_table_exits_0(t, capsys):
+    code, out, err = run(["powerop", "--m", "2", "--generator", f"delta:{t}"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classes"]

@@ -180,3 +180,64 @@ BAD_INSTANCES = {
 @pytest.mark.parametrize("check", sorted(BAD_INSTANCES))
 def test_check_fails_on_bad_instance(check):
     assert BAD_INSTANCES[check]() is False
+
+
+# composition through substitute, against the Horner loops it replaced
+
+
+def _oracle_compose(outer, inner):
+    """Oracle: outer(inner(x)) by Horner from the top degree down."""
+    ring, d = outer.ring, outer.trunc
+    zero = ring.convert(0)
+    out = TruncatedSeries.zero(ring, d)
+    for c in reversed(outer.coeffs[1:]):
+        term = TruncatedSeries(ring, (ring.convert(c),) + (zero,) * d)
+        out = out.add(term).mul(inner)
+    const = TruncatedSeries(ring, (ring.convert(outer.coeffs[0]),) + (zero,) * d)
+    return out.add(const)
+
+
+def _oracle_honda_law(p, n, trunc):
+    """Oracle: F = exp(log x + log y) by Horner in u = log x + log y."""
+    ring = RationalCoefficients(p)
+    log = honda_logarithm(p, n, trunc)
+    exp = series_reversion(log)
+    lx = TruncatedPoly.make(ring, 2, trunc, {(e, 0): c for e, c in enumerate(log.coeffs)})
+    ly = TruncatedPoly.make(ring, 2, trunc, {(0, e): c for e, c in enumerate(log.coeffs)})
+    u = lx.add(ly)
+    law = TruncatedPoly.zero(ring, 2, trunc)
+    for c in reversed(exp.coeffs[1:]):
+        law = law.add(TruncatedPoly.const(ring, 2, trunc, c)).mul(u)
+    return law
+
+
+HONDA_CASES = [(2, 1, default_truncation(2, 1)), (2, 2, default_truncation(2, 2)),
+               (3, 1, default_truncation(3, 1)), (2, 1, 6)]
+
+
+@pytest.mark.parametrize("p, n, trunc", HONDA_CASES)
+def test_honda_law_matches_horner_oracle(p, n, trunc):
+    rational = build_honda_rational(p, n, trunc)
+    law = _oracle_honda_law(p, n, trunc)
+    assert rational.law == law
+    # same coefficient types too, so JSON and repr are unchanged
+    assert [type(c) for _, c in rational.law.coeffs] == [type(c) for _, c in law.coeffs]
+    reduced = FGL(rational.ring, trunc, law, rational.name).reduce(prime_field(p))
+    assert build_honda(p, n, trunc).law == reduced.law
+
+
+@pytest.mark.parametrize("p, n, trunc", HONDA_CASES)
+def test_compose_matches_horner_oracle(p, n, trunc):
+    log = honda_logarithm(p, n, trunc)
+    exp = series_reversion(log)
+    reduced = build_honda(p, n, trunc)
+    series = [log, exp, build_honda_rational(p, n, trunc).i_series(2)]
+    pairs = [(a, b) for a in series for b in series]
+    mod_p = [reduced.i_series(2), reduced.i_series(p), reduced.i_series(3)]
+    pairs += [(a, b) for a in mod_p for b in mod_p]
+    for outer, inner in pairs:
+        got = outer.compose(inner)
+        assert got == _oracle_compose(outer, inner)
+        assert [type(c) for c in got.coeffs] == [
+            type(c) for c in _oracle_compose(outer, inner).coeffs
+        ]

@@ -38,10 +38,12 @@ from charpow.groups import (
     times_hom,
     wreath_class_to_decorated,
 )
+from charpow.lattice import LatticeBasis, column_span_basis
 from charpow.torsion import (
     SumOfSubgroups,
     enumerate_subgroups,
     enumerate_sums,
+    subgroup_from_annihilator,
     subgroup_from_generators,
     trivial_subgroup,
 )
@@ -627,3 +629,66 @@ BAD_INSTANCES = {
 @pytest.mark.parametrize("check", sorted(BAD_INSTANCES))
 def test_check_fails_on_bad_instance(check):
     assert BAD_INSTANCES[check]() is False
+
+
+# ---------------------------------------------------------------------------
+# stabilizer lattices by one orbit walk, against the exhaustive search
+
+
+def _oracle_orbit_subgroups(perms, p, n):
+    """Oracle: orbits by search, stabilizers by testing every lam in [0, exp)^n."""
+    m = len(perms[0])
+    identity = tuple(range(m))
+
+    def power(s, e):
+        out = identity
+        for _ in range(e):
+            out = tuple(s[i] for i in out)
+        return out
+
+    exp = 1
+    for s in perms:
+        k = next(k for k in range(1, m + 2) if power(s, k) == identity)
+        while exp < k:
+            exp *= p
+    powers = [[power(s, e) for e in range(exp)] for s in perms]
+    seen = set()
+    for x0 in range(m):
+        if x0 in seen:
+            continue
+        orbit = {x0}
+        frontier = [x0]
+        while frontier:
+            x = frontier.pop()
+            for s in perms:
+                if s[x] not in orbit:
+                    orbit.add(s[x])
+                    frontier.append(s[x])
+        seen |= orbit
+        cols = [[exp * int(i == j) for i in range(n)] for j in range(n)]
+        for lam in itertools.product(range(exp), repeat=n):
+            pos = x0
+            for j in range(n):
+                pos = powers[j][lam[j]][pos]
+            if pos == x0:
+                cols.append(list(lam))
+        basis = LatticeBasis(p, column_span_basis(tuple(zip(*cols))))
+        yield x0, basis, subgroup_from_annihilator(p, basis)
+
+
+ORBIT_CASES = [(f"S{m}", p, n) for m in range(1, 7) for p in (2, 3) for n in (1, 2)]
+ORBIT_CASES += [(f"S{m}", p, 3) for m in range(1, 6) for p in (2, 3)]
+ORBIT_CASES += [(spec, p, n) for spec in ("wr(C2,4)", "wr(S3,2)") for p in (2, 3)
+                for n in (1, 2)]
+
+
+@pytest.mark.parametrize("spec, p, n", ORBIT_CASES)
+def test_orbit_walk_matches_exhaustive_stabilizers(spec, p, n):
+    group = build_group(spec)
+    wreath = group.structure[0] == "wreath"
+    for alpha in enumerate_hom_classes(group, n, p):
+        elements = [group.elements[i] for i in alpha.rep]
+        perms = [e[1] for e in elements] if wreath else elements
+        assert list(groups_module._orbit_subgroups(perms, p, n)) == list(
+            _oracle_orbit_subgroups(perms, p, n)
+        )

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -289,3 +290,155 @@ def test_row_reduce_matches_rescanning_oracle_on_transfer_ideal():
     rows = [list(map(Fraction, g)) for g in ideal.generators]
     assert len(rows) == 1028
     assert row_reduce(rows) == _oracle_row_reduce(rows)
+
+
+# ---------------------------------------------------------------------------
+# row HNF and SNF through the column echelon, against the direct xgcd versions
+
+
+def _oracle_xgcd(a, b):
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return g, x, y
+
+
+def _oracle_row_hnf(entries):
+    """Oracle: xgcd row operations down each column, then reduce above the pivots."""
+    n = len(entries)
+    rows = [list(r) for r in entries]
+    for c in range(n):
+        acc = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if acc is None:
+            raise SingularMatrixError("row_hnf requires a nonsingular matrix")
+        rows[c], rows[acc] = rows[acc], rows[c]
+        for i in range(c + 1, n):
+            if rows[i][c] == 0:
+                continue
+            a, b = rows[c][c], rows[i][c]
+            g, x, y = _oracle_xgcd(a, b)
+            rc, ri = rows[c], rows[i]
+            rows[c] = [x * u + y * v for u, v in zip(rc, ri)]
+            rows[i] = [(a // g) * v - (b // g) * u for u, v in zip(rc, ri)]
+    for j in range(n):
+        if rows[j][j] < 0:
+            rows[j] = [-x for x in rows[j]]
+        for i in range(j):
+            q = rows[i][j] // rows[j][j]
+            if q:
+                rows[i] = [u - q * v for u, v in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+def _oracle_snf(m):
+    """Oracle: clear row and column k against the pivot (k, k) until both vanish."""
+    n = m.n
+    a = [list(row) for row in m.entries]
+
+    def improve(k):
+        while True:
+            for i in range(k + 1, n):
+                if a[i][k] % a[k][k] != 0:
+                    g, x, y = _oracle_xgcd(a[k][k], a[i][k])
+                    rk, ri = a[k], a[i]
+                    ck, ci = a[k][k] // g, a[i][k] // g
+                    a[k] = [x * u + y * v for u, v in zip(rk, ri)]
+                    a[i] = [ck * v - ci * u for u, v in zip(rk, ri)]
+            for i in range(k + 1, n):
+                q = a[i][k] // a[k][k]
+                if q:
+                    a[i] = [u - q * v for u, v in zip(a[i], a[k])]
+            for j in range(k + 1, n):
+                if a[k][j] % a[k][k] != 0:
+                    g, x, y = _oracle_xgcd(a[k][k], a[k][j])
+                    ck, cj = a[k][k] // g, a[k][j] // g
+                    for r in range(n):
+                        u, v = a[r][k], a[r][j]
+                        a[r][k] = x * u + y * v
+                        a[r][j] = ck * v - cj * u
+            for j in range(k + 1, n):
+                q = a[k][j] // a[k][k]
+                if q:
+                    for r in range(n):
+                        a[r][j] -= q * a[r][k]
+            if all(a[i][k] == 0 for i in range(k + 1, n)) and all(
+                a[k][j] == 0 for j in range(k + 1, n)
+            ):
+                return
+
+    for k in range(n):
+        pivot = next(
+            ((i, j) for i in range(k, n) for j in range(k, n) if a[i][j] != 0), None
+        )
+        if pivot is None:
+            raise SingularMatrixError("snf requires a nonsingular matrix")
+        i, j = pivot
+        a[k], a[i] = a[i], a[k]
+        for r in range(n):
+            a[r][k], a[r][j] = a[r][j], a[r][k]
+        improve(k)
+    d = [abs(a[i][i]) for i in range(n)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if d[j] % d[i] != 0:
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] * d[j] // g
+    d.sort()
+    return tuple(m.p ** _oracle_valuation(x, m.p) for x in d)
+
+
+def _oracle_valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _assert_matches_oracles(m):
+    assert row_hnf(m) == _oracle_row_hnf(m)
+    for p in (2, 3, 5):
+        assert snf(PAdicMatrix(p, m)) == _oracle_snf(PAdicMatrix(p, m))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(nonsingular))
+def test_row_hnf_and_snf_match_xgcd_oracles(m):
+    _assert_matches_oracles(m)
+
+
+def test_row_hnf_and_snf_match_xgcd_oracles_on_seeded_matrices():
+    rng = SplitMix64(9)
+    checked = 0
+    for _ in range(400):
+        n = 1 + rng.below(4)
+        spread = (3, 11, 41, 201)[rng.below(4)]
+        m = tuple(
+            tuple(rng.below(spread) - spread // 2 for _ in range(n)) for _ in range(n)
+        )
+        if mat_det(m) == 0:
+            continue
+        _assert_matches_oracles(m)
+        checked += 1
+    assert checked > 300
+
+
+def test_snf_of_a_diagonal_with_a_negative_entry():
+    # already diagonal, so no Hermite round runs: the sign is dropped by abs
+    m = PAdicMatrix(5, ((15, 0), (0, -28)))
+    assert snf(m) == _oracle_snf(m) == (1, 5)
+
+
+@pytest.mark.parametrize("form", [snf, _oracle_snf])
+def test_snf_rejects_a_singular_diagonal(form):
+    with pytest.raises(SingularMatrixError):
+        form(PAdicMatrix(2, ((0, 0), (0, 1))))
+
+
+@pytest.mark.parametrize("form", [row_hnf, _oracle_row_hnf])
+def test_row_hnf_rejects_a_singular_matrix(form):
+    with pytest.raises(SingularMatrixError):
+        form(((0, 0), (0, 1)))

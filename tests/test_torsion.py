@@ -1,11 +1,14 @@
 import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charpow import torsion
+from charpow.errors import ListingTooLargeError
 from charpow.lattice import PAdicMatrix, mat_det, mat_mul
 from charpow.rng import SplitMix64, random_unimodular
 from charpow.torsion import (
@@ -238,3 +241,44 @@ def test_rank3_counts_against_bruteforce():
     assert len(enumerate_sums(2, 3, 2)) == 8
     for h in enumerate_subgroups(2, 3, 2):
         assert annihilator_lattice(h).index() == 4
+
+
+# listings above LISTING_CAP are refused
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [(lambda: enumerate_subgroups(2, 3, 3), 155), (lambda: enumerate_subgroups(3, 2, 4), 121),
+     (lambda: enumerate_sums(2, 2, 6), 48), (lambda: enumerate_sums(3, 2, 4), 5)],
+)
+def test_listing_cap_is_exact(make, count, monkeypatch):
+    # the subgroup count is the listing's length, and a listing of exactly
+    # LISTING_CAP items passes
+    assert len(make()) == count
+    monkeypatch.setattr(torsion, "LISTING_CAP", count)
+    assert len(make()) == count
+    monkeypatch.setattr(torsion, "LISTING_CAP", count - 1)
+    with pytest.raises(ListingTooLargeError, match=f"more than LISTING_CAP = {count - 1}"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # 2^31 - 1 subgroups: refused before any matrix is built
+        (lambda: enumerate_subgroups(2, 2, 30), "^k = 30: more than LISTING_CAP = 100000 subgroups$"),
+        (lambda: enumerate_subgroups(2, 30, 200), "^k = 200: "),
+        (lambda: enumerate_sums(2, 2, 40), "^m = 40: more than LISTING_CAP = 100000 sums$"),
+        (lambda: enumerate_sums(2, 1, 10 ** 9), "^m = 1000000000: .* LISTING_CAP = 100000"),
+    ],
+)
+def test_listing_above_cap_is_refused_quickly(make, message):
+    start = time.perf_counter()
+    with pytest.raises(ListingTooLargeError, match=message):
+        make()
+    assert time.perf_counter() - start < 10
+
+
+def test_sums_below_cap_are_listed():
+    assert torsion.LISTING_CAP == 100_000
+    assert len(enumerate_sums(2, 3, 12)) == 54721
