@@ -573,6 +573,52 @@ def transfer(f: ClassFunction, iota: Homomorphism) -> ClassFunction:
 # power operations
 
 
+def _symmetric_target(group: FiniteGroup, m: int) -> FiniteGroup:
+    return product_group(group, symmetric_group(m))
+
+
+def _symmetric_summands(cls: TupleClass):
+    alpha, tau = split_product_class(cls)
+    return tuple((h, alpha) for h in symm_class_to_sum(tau).summands)
+
+
+def _wreath_summands(cls: TupleClass):
+    return wreath_class_to_decorated(cls).summands
+
+
+def _transpose_dual(phi: Isogeny):
+    return mat_transpose(phi.matrix.entries)
+
+
+@lru_cache(maxsize=None)
+def _summand_structure(target: FiniteGroup, n: int, p: int, summands):
+    """(rep, ((H, alpha), ...)) for each class of the target: the sum bijection,
+    which depends on the class alone."""
+    return tuple(
+        (cls.rep, summands(cls)) for cls in enumerate_hom_classes(target, n, p)
+    )
+
+
+def _section_plan(section: Section, target: FiniteGroup, summands, dual):
+    """(rep, ((source key, phi_H), ...)) for each class of the target.
+
+    The source key is the rep of [alpha . dual(phi_H)].  A plan depends on
+    the section's assignment but not on f or the level, so it is built once
+    and kept on the section itself; Section == ignores the assignment, so
+    sections are never matched by equality.
+    """
+    key = (target, summands, dual)
+    if key not in section._plans:
+        section._plans[key] = tuple(
+            (rep, tuple(
+                (precompose(alpha, dual(phi := section.isogeny_for(h))).rep, phi)
+                for h, alpha in terms
+            ))
+            for rep, terms in _summand_structure(target, section.n, section.p, summands)
+        )
+    return section._plans[key]
+
+
 def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
     """At each class of the target: prod over (H, alpha) of f([alpha . dual(phi_H)]) . phi_H.
 
@@ -585,43 +631,32 @@ def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
         raise SectionOutOfRangeError(
             f"power operation with m={m} needs section bound >= {need}"
         )
-    target = make_target()
+    target = make_target(f.group, m)
     _require_level_covers(target, f.p, f.level)
+    one = c0_constant(f.p, f.n, f.level, 1)  # the empty product
     out = {}
-    for cls in enumerate_hom_classes(target, f.n, f.p):
-        val = None
-        for h, alpha in summands(cls):
-            phi = section.isogeny_for(h)
-            term = f.value_at(precompose(alpha, dual(phi))).act_isogeny(phi)
-            val = term if val is None else val.mul(term)
-            if val.is_zero():
+    for rep, terms in _section_plan(section, target, summands, dual):
+        val = one
+        for src, phi in terms:
+            if src not in f.values:  # f vanishes there, and so does the product
                 break
-        if val is None:  # no summands: the empty product
-            val = c0_constant(f.p, f.n, f.level, 1)
-        if not val.is_zero():
-            out[cls.rep] = val
+            term = f.values[src].act_isogeny(phi)
+            val = term if val is one else val.mul(term)
+        else:
+            out[rep] = val
     return ClassFunction(target, f.p, f.n, f.level, out)
-
-
-def _symmetric_summands(cls: TupleClass):
-    alpha, tau = split_product_class(cls)
-    return [(h, alpha) for h in symm_class_to_sum(tau).summands]
 
 
 def power_op(f: ClassFunction, m: int, section: Section) -> ClassFunction:
     """P_m for the given section: ([alpha], +H_i) -> prod_i f([alpha phi_{H_i}^*]) . phi_{H_i}."""
     return _power_product(
-        f, m, section, lambda: product_group(f.group, symmetric_group(m)),
-        _symmetric_summands, lambda phi: mat_transpose(phi.matrix.entries),
+        f, m, section, _symmetric_target, _symmetric_summands, _transpose_dual
     )
 
 
 def total_power_op(f: ClassFunction, m: int, section: Section) -> ClassFunction:
     """The wreath-product refinement of power_op, using the psi-dual per summand."""
-    return _power_product(
-        f, m, section, lambda: wreath_group(f.group, m),
-        lambda cls: wreath_class_to_decorated(cls).summands, psi_dual,
-    )
+    return _power_product(f, m, section, wreath_group, _wreath_summands, psi_dual)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ class Section:
     bound: int  # order bound exponent B
     provenance: str
     assignment: dict = field(compare=False, repr=False)
+    # power-operation plans read off this assignment, built by classfn on first use
+    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def isogeny_for(self, h: TorsionSubgroup) -> Isogeny:
         if h not in self.assignment:

@@ -153,16 +153,10 @@ def enumerate_subgroups(p: int, n: int, k: int):
     Row-HNF matrices with p-power diagonal biject with subgroups; the list
     is sorted lexicographically on the matrix entries.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    # column j has j free entries above its pivot p^e_j, hence prod p^(e_j j) matrices
-    count = 0
-    for exps in _compositions(k, n):
-        count += math.prod(p ** (e * j) for j, e in enumerate(exps))
-        if count > LISTING_CAP:
-            raise ListingTooLargeError(
-                f"k = {k}: more than LISTING_CAP = {LISTING_CAP} subgroups"
-            )
+    if _subgroup_count(p, n, k) > LISTING_CAP:
+        raise ListingTooLargeError(
+            f"k = {k}: more than LISTING_CAP = {LISTING_CAP} subgroups"
+        )
     out = []
     for exps in _compositions(k, n):
         diag = [p ** e for e in exps]
@@ -181,6 +175,22 @@ def enumerate_subgroups(p: int, n: int, k: int):
             out.append(TorsionSubgroup(p, freeze(m)))
     out.sort(key=lambda h: h.matrix)
     return tuple(out)
+
+
+def _subgroup_count(p: int, n: int, k: int) -> int:
+    """Number of subgroups of order p^k; once past LISTING_CAP, some larger number.
+
+    Column j of a row-HNF matrix has j free entries above its pivot p^e_j,
+    hence prod_j p^(e_j j) matrices per composition (e_j) of k.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    count = 0
+    for exps in _compositions(k, n):
+        count += math.prod(p ** (e * j) for j, e in enumerate(exps))
+        if count > LISTING_CAP:
+            break
+    return count
 
 
 def _compositions(total: int, parts: int):
@@ -225,6 +235,29 @@ def max_subgroup_exponent(p: int, m: int) -> int:
     return e
 
 
+def _sum_count(p: int, n: int, m: int) -> int:
+    """Number of sums with orders adding up to m; once past LISTING_CAP, some larger number.
+
+    A sum is a partition of m into powers q of p, c_q parts of order q,
+    with a multiset of c_q subgroups out of the N_q of order q for each q:
+    prod_q C(N_q + c_q - 1, c_q) sums per partition.
+    """
+    counts = [_subgroup_count(p, n, e) for e in range(max_subgroup_exponent(p, m) + 1)]
+
+    def ways(remaining, e):
+        """Sums of subgroups of order at most p^e with orders adding up to remaining."""
+        if e == 0:  # only the trivial subgroup
+            return 1
+        total = 0
+        for c in range(remaining // p ** e + 1):
+            total += math.comb(counts[e] + c - 1, c) * ways(remaining - c * p ** e, e - 1)
+            if total > LISTING_CAP:
+                break
+        return total
+
+    return ways(m, len(counts) - 1)
+
+
 def enumerate_sums(p: int, n: int, m: int):
     """All formal sums of subgroups with orders adding up to m, canonically ordered."""
     if m > LISTING_CAP:
@@ -232,13 +265,10 @@ def enumerate_sums(p: int, n: int, m: int):
             f"m = {m}: the sum of m trivial subgroups has more than "
             f"LISTING_CAP = {LISTING_CAP} summands"
         )
-    too_large = ListingTooLargeError(f"m = {m}: more than LISTING_CAP = {LISTING_CAP} sums")
-    try:
-        by_order = {p ** e: enumerate_subgroups(p, n, e)
-                    for e in range(max_subgroup_exponent(p, m) + 1)}
-    except ListingTooLargeError:
-        # each subgroup H of order p^e <= m, padded with trivial ones, is a sum
-        raise too_large from None
+    if _sum_count(p, n, m) > LISTING_CAP:
+        raise ListingTooLargeError(f"m = {m}: more than LISTING_CAP = {LISTING_CAP} sums")
+    by_order = {p ** e: enumerate_subgroups(p, n, e)
+                for e in range(max_subgroup_exponent(p, m) + 1)}
     powers = list(by_order)
 
     sums = []
@@ -250,8 +280,6 @@ def enumerate_sums(p: int, n: int, m: int):
                 for q, c in chosen
             ]
             for combo in itertools.product(*pools):
-                if len(sums) == LISTING_CAP:
-                    raise too_large
                 sums.append(SumOfSubgroups(tuple(itertools.chain(*combo))))
             return
         for q in reversed(powers):

@@ -49,13 +49,17 @@ from charpow.groups import (
     TupleClass,
     build_group,
     enumerate_hom_classes,
+    precompose,
+    product_group,
+    split_product_class,
     symm_class_to_sum,
     symmetric_group,
     identity_hom,
     wreath_class_to_decorated,
+    wreath_group,
 )
-from charpow.isogeny import canonical_section, random_section
-from charpow.lattice import PAdicMatrix, mat_det
+from charpow.isogeny import Section, canonical_section, psi_dual, random_section
+from charpow.lattice import PAdicMatrix, mat_det, mat_transpose
 from charpow.rng import SplitMix64
 from charpow.torsion import enumerate_subgroups
 from charpow.verify import (
@@ -692,6 +696,78 @@ def test_total_power_op_golden_s2_wreath():
             base = fe if alpha.rep == (0,) else ft
             expected = base.act_matrix_left(two.entries)
         assert out.value_at(cls) == expected
+
+
+# ---------------------------------------------------------------------------
+# power operations: the per-call formula as an oracle for the cached plans
+
+
+def _power_product_per_call(f, m, section, total):
+    """P_m(f), or the total power operation, with the sum bijection, the
+    pulled-back class and phi_H found afresh at every class of the target."""
+    if total:
+        target = wreath_group(f.group, m)
+    else:
+        target = product_group(f.group, symmetric_group(m))
+    out = {}
+    for cls in enumerate_hom_classes(target, f.n, f.p):
+        if total:
+            summands = wreath_class_to_decorated(cls).summands
+        else:
+            alpha, tau = split_product_class(cls)
+            summands = [(h, alpha) for h in symm_class_to_sum(tau).summands]
+        val = c0_constant(f.p, f.n, f.level, 1)
+        for h, alpha in summands:
+            phi = section.isogeny_for(h)
+            dual = psi_dual(phi) if total else mat_transpose(phi.matrix.entries)
+            val = val.mul(f.value_at(precompose(alpha, dual)).act_isogeny(phi))
+        out[cls.rep] = val
+    return ClassFunction(target, f.p, f.n, f.level, out)
+
+
+def _plan_cases(n):
+    """(group, m, total, level): levels 2 then 3, so one section's plans
+    meet both."""
+    cases = [
+        (spec, m, total, level) for level, spec, m, total
+        in itertools.product((2, 3), ("S1", "C2", "S3"), (1, 2, 3), (False, True))
+    ]
+    if n == 1:
+        return cases + [("C2", 4, False, 3), ("C2", 4, True, 3)]
+    # 4096-entry tables at n = 2, level 3: keep the small targets there
+    return [c for c in cases if c[3] == 2 or (c[0], c[1]) == ("C2", 2)]
+
+
+@pytest.mark.parametrize("spec", ["canonical", 5, 6])
+@pytest.mark.parametrize("n", [1, 2])
+def test_power_ops_match_per_call_oracle(n, spec):
+    if spec == "canonical":
+        section = canonical_section(P, n, 2)
+    else:
+        section = random_section(P, n, 2, spec)
+    for seed, (group, m, total, level) in enumerate(_plan_cases(n)):
+        f = random_class_function(build_group(group), P, n, level, seed)
+        # a function vanishing at one class takes the early exit
+        sparse = ClassFunction(f.group, P, n, level, dict(list(f.values.items())[1:]))
+        op = total_power_op if total else power_op
+        for g in (f, sparse):
+            assert op(g, m, section) == _power_product_per_call(g, m, section, total), (
+                group, m, total, level
+            )
+
+
+def test_plan_is_not_shared_by_equal_sections(s3):
+    # Section == ignores the assignment: a plan looked up by equality would
+    # hand this impostor the canonical section's plan
+    canonical = canonical_section(P, N, 2)
+    impostor = Section(P, N, 2, "canonical", random_section(P, N, 2, 1).assignment)
+    assert impostor == canonical and impostor.assignment != canonical.assignment
+    f = random_class_function(s3, P, N, LEVEL, seed=17)
+    for op, total in ((power_op, False), (total_power_op, True)):
+        first = op(f, 2, canonical)
+        second = op(f, 2, impostor)
+        assert second == _power_product_per_call(f, 2, impostor, total)
+        assert second != first
 
 
 def test_power_op_one_and_multiplicativity(s3, section):

@@ -94,6 +94,25 @@ def test_listing_bytes_are_pinned(kind, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[kind, fmt]
 
 
+# SHA-256 of each powerop output, recorded before power operations ran from
+# per-section plans
+POWEROP_DIGESTS = {
+    ("--section", "canonical"): "44ed256c9dcfd7df72575f984794647cbfdcedef7b584bccb24cfc02f104606d",
+    ("--section", "seeded:42"): "f5f02dc49791eff8d2b43b504523428917ac42a7c7ea6cbb6aab35a72abef1b9",
+    ("--total",): "101c30930bf6d864c8a1ce12bdd82b280669137049239bcfe075ea6f08cfebd8",
+    ("--total", "--section", "seeded:42"): "e38d4cfaed32894ae461a1978d072ff1a255ec7830d263c8982c379d3879904b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(POWEROP_DIGESTS))
+def test_powerop_bytes_are_pinned(args, capsys):
+    code, out, _ = run(
+        ["powerop", "--group", "C2", "--m", "3", "--generator", "coord", *args], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POWEROP_DIGESTS[args]
+
+
 def test_bad_group_spec_exit_2(capsys):
     code, _, err = run(
         ["enumerate", "--kind", "hom-classes", "--group", "Q8"], capsys

@@ -279,6 +279,27 @@ def test_listing_above_cap_is_refused_quickly(make, message):
     assert time.perf_counter() - start < 10
 
 
+def test_sum_count_is_the_listing_length():
+    for p, n in itertools.product((2, 3, 5), (1, 2, 3)):
+        for m in range(1, 9 if p ** n <= 8 else 6):
+            assert torsion._sum_count(p, n, m) == len(enumerate_sums(p, n, m)), (p, n, m)
+
+
+def test_sums_above_cap_are_refused_before_any_is_built(monkeypatch):
+    built = []
+
+    def counting_sum(summands):
+        built.append(summands)
+        return SumOfSubgroups(summands)
+
+    monkeypatch.setattr(torsion, "SumOfSubgroups", counting_sum)
+    start = time.perf_counter()
+    with pytest.raises(ListingTooLargeError, match="^m = 2000: more than LISTING_CAP = 100000 sums$"):
+        enumerate_sums(2, 1, 2000)
+    assert built == [] and time.perf_counter() - start < 1
+    assert len(enumerate_sums(2, 2, 4)) == len(built) == 17
+
+
 def test_sums_below_cap_are_listed():
     assert torsion.LISTING_CAP == 100_000
     assert len(enumerate_sums(2, 3, 12)) == 54721
