@@ -49,7 +49,7 @@ from .groups import (
     wreath_group,
 )
 from .isogeny import Isogeny, Section, psi_dual
-from .lattice import PAdicMatrix, mat_det, mat_transpose, reduce_against, row_reduce
+from .lattice import PAdicMatrix, in_rational_span, mat_det, mat_transpose, rational_span
 from .rng import SplitMix64, random_fraction
 from .torsion import max_subgroup_exponent
 
@@ -664,7 +664,7 @@ def total_power_op(f: ClassFunction, m: int, section: Section) -> ClassFunction:
 
 
 class TransferIdeal:
-    """Q-basis data for the span of transfer images inside a class-function ring."""
+    """Q-span of integer vectors over the tuple classes, kept as a fraction-free echelon."""
 
     def __init__(self, group: FiniteGroup, p: int, n: int, level: int, generators):
         self.group = group
@@ -673,26 +673,38 @@ class TransferIdeal:
         self.level = level
         self.keys = tuple(_class_positions(group, n, p))
         self.generators = tuple(generators)  # integer vectors over self.keys
-        self._rref = row_reduce([list(map(Fraction, g)) for g in self.generators])
+        self._span = rational_span(self.generators, len(self.keys))
 
     @property
     def rank(self) -> int:
-        return len(self._rref)
+        return len(self._span)
 
     def quotient_dim(self) -> int:
         return len(self.keys) - self.rank
 
     def contains_vector(self, vec) -> bool:
-        row = reduce_against([Fraction(x) for x in vec], self._rref)
-        return all(x == 0 for x in row)
+        """Membership of a rational vector over the keys, cleared of denominators."""
+        vec = [Fraction(x) for x in vec]
+        if len(vec) != len(self.keys):
+            raise ValueError(
+                f"vector has {len(vec)} entries, the ideal has {len(self.keys)} keys"
+            )
+        den = math.lcm(*(x.denominator for x in vec))
+        return in_rational_span(self._span, [x.numerator * den // x.denominator for x in vec])
 
     def contains(self, f: ClassFunction) -> bool:
         """Membership for a C0-valued function: every evaluation column must lie in the span.
 
         Each key's table is read once; equal columns are checked once.
         """
-        tables = [f.value_at(rep).values for rep in self.keys]
-        return all(self.contains_vector(column) for column in set(zip(*tables)))
+        if f.group is not self.group:
+            raise ValueError("class function does not live on the ideal's group")
+        if (f.p, f.n, f.level) != (self.p, self.n, self.level):
+            raise LevelMismatchError("class function parameters do not match the ideal")
+        tables = [f.value_at(rep) for rep in self.keys]
+        den = math.lcm(*(t.den for t in tables))
+        columns = zip(*([x * (den // t.den) for x in t.num] for t in tables))
+        return all(in_rational_span(self._span, column) for column in set(columns))
 
 
 def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):

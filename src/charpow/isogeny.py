@@ -10,16 +10,18 @@ as (unimodular) . (canonical kernel matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import NoIntegralSolutionError, SectionOutOfRangeError, SingularMatrixError
+from .errors import (
+    NoIntegralSolutionError,
+    NotInLatticeError,
+    SectionOutOfRangeError,
+    SingularMatrixError,
+)
 from .lattice import (
     LatticeBasis,
     Matrix,
     PAdicMatrix,
-    freeze,
     hnf,
-    mat_inverse_fractions,
     mat_mul,
     mat_transpose,
     solve_integer,
@@ -139,15 +141,15 @@ def sigma_solve(
     a_gh = section.isogeny_for(gh).matrix.entries
     a_h = section.isogeny_for(h).matrix.entries
     lhs = mat_mul(a_gh, gamma.entries)
-    inv = mat_inverse_fractions(a_h)
-    n = len(a_h)
-    sigma = [
-        [sum(Fraction(lhs[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    if any(x.denominator != 1 for row in sigma for x in row):
-        raise NoIntegralSolutionError("conjugator is not integral; section is broken")
-    out = PAdicMatrix(gamma.p, freeze([[int(x) for x in row] for row in sigma]))
+    # sigma . A_H = lhs transposes to A_H^T . sigma^T = lhs^T, and A_H^T . U = B
+    basis, u = hnf(mat_transpose(a_h), gamma.p)
+    try:
+        sigma_t = mat_mul(u, solve_integer(basis, mat_transpose(lhs)))
+    except NotInLatticeError:
+        raise NoIntegralSolutionError(
+            "conjugator is not integral; section is broken"
+        ) from None
+    out = PAdicMatrix(gamma.p, mat_transpose(sigma_t))
     if mat_mul(out.entries, a_h) != lhs:
         raise NoIntegralSolutionError("conjugator fails its defining equation")
     if not out.is_automorphism():

@@ -13,11 +13,13 @@ Hermite forms are used throughout the package:
   have the same row HNF iff they define the same kernel on (Q_p/Z_p)^n,
   which is what makes subgroup equality a plain equality test.
 
-Both come from one xgcd column echelon (``_column_echelon``): the row HNF
-is the column HNF of the anti-transpose, flipped back.  The Smith form
-(``snf``) alternates column and row Hermite forms until the matrix is
-diagonal.  Beside these, ``row_reduce`` gives the reduced row echelon basis
-of rational rows (rank, membership, inverses).
+Everything comes from one xgcd column echelon, ``rational_span``.  Its
+pivot columns are a fraction-free basis of the Q-span (their number is the
+rank), and ``in_rational_span`` tests membership against them.  Reduced
+off the pivots they give the column HNF; the row HNF is the column HNF of
+the anti-transpose, flipped back, and the Smith form (``snf``) alternates
+the two until the matrix is diagonal.  ``mat_inverse_fractions`` is
+U . H^-1 from the column HNF A . U = H.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import NotInLatticeError, SingularMatrixError
 
@@ -81,59 +83,16 @@ def mat_det(a: Matrix) -> int:
 
 
 def mat_inverse_fractions(a: Matrix):
-    """Inverse as a tuple of tuples of Fractions: [A | I] row-reduces to [I | A^-1]."""
+    """Inverse as Fractions: A^-1 = U . H^-1 for the column HNF A . U = H.
+
+    d . H^-1 is integral for d = det H, so back substitution finds it.
+    """
     n = len(a)
-    rref = row_reduce(
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    )
-    if [_pivot(row) for row in rref] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rref)
-
-
-def _pivot(row):
-    """Index of the first nonzero entry, or None for a zero row."""
-    return next((i for i, x in enumerate(row) if x != 0), None)
-
-
-def _eliminate(row, pivots):
-    """row minus its combination of basis rows, given as {pivot: row}."""
-    row = list(row)
-    for piv, b in pivots.items():
-        c = row[piv]
-        if c != 0:
-            row = [x - c * y for x, y in zip(row, b)]
-    return row
-
-
-def reduce_against(row, basis):
-    """row minus its combination of the rows of a reduced echelon basis.
-
-    The result is zero exactly when row lies in the span of the basis.
-    """
-    return _eliminate(row, {_pivot(b): b for b in basis})
-
-
-def row_reduce(rows):
-    """Reduced row echelon basis of the span of rational rows, sorted by pivot.
-
-    Each basis row has a unit pivot, and zeros at the pivots of the others.
-    The basis is kept as {pivot: row}, so no pivot is searched for twice.
-    """
-    pivots = {}
-    for row in rows:
-        row = _eliminate(row, pivots)
-        piv = _pivot(row)
-        if piv is None:
-            continue
-        inv = Fraction(1) / row[piv]
-        row = [x * inv for x in row]
-        for k, b in pivots.items():
-            if b[piv] != 0:
-                pivots[k] = [x - b[piv] * y for x, y in zip(b, row)]
-        pivots[piv] = row
-    return [pivots[k] for k in sorted(pivots)]
+    full = _column_echelon(tuple(a) + identity_matrix(n), n)
+    h, u = full[:n], full[n:]
+    d = prod(h[i][i] for i in range(n))
+    inv = mat_mul(u, _back_substitute(h, scalar_matrix(n, d)))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in inv)
 
 
 def int_valuation(x: int, p: int) -> int:
@@ -275,7 +234,7 @@ def _eliminate_row(cols, active, r):
     return acc
 
 
-def _reduce_off_pivots(h):
+def _reduce_hnf_entries(h):
     """In-place reduction: entries right of each pivot into [0, pivot).
 
     The top square block of h is upper triangular.  The column operations
@@ -294,6 +253,26 @@ def _reduce_off_pivots(h):
                     row[j] -= q * row[i]
 
 
+def rational_span(columns, nrows: int) -> dict:
+    """Bottom-up xgcd column echelon of the top nrows rows, as {row: pivot column}.
+
+    Row by row, column operations among the columns not yet taken as pivots
+    leave one nonzero at that row, in its pivot column; a row that vanishes
+    on them gets none.  The pivot column of row r is zero below r, and the
+    pivot columns are a fraction-free basis of the Q-span of the columns,
+    so their number is the rank over Q.
+    """
+    cols = [list(col) for col in columns]
+    active = list(range(len(cols)))
+    pivots = {}
+    for r in range(nrows - 1, -1, -1):
+        piv = _eliminate_row(cols, active, r)
+        if piv is not None:
+            pivots[r] = cols[piv]  # no longer active, so final
+            active.remove(piv)
+    return pivots
+
+
 def _column_echelon(entries, n: int):
     """Column operations putting the top n rows of a matrix in column HNF.
 
@@ -302,18 +281,32 @@ def _column_echelon(entries, n: int):
     top block.  Raises SingularMatrixError if the top n rows do not have
     full rank.
     """
-    cols = [list(col) for col in zip(*entries)]
-    active = list(range(len(cols)))
-    pivots = [None] * n
-    for r in range(n - 1, -1, -1):
-        piv = _eliminate_row(cols, active, r)
-        if piv is None:
-            raise SingularMatrixError("columns do not have full rank")
-        pivots[r] = piv
-        active.remove(piv)
-    h = [list(row) for row in zip(*(cols[piv] for piv in pivots))]
-    _reduce_off_pivots(h)
+    pivots = rational_span(zip(*entries), n)
+    if len(pivots) < n:
+        raise SingularMatrixError("columns do not have full rank")
+    h = [list(row) for row in zip(*(pivots[r] for r in range(n)))]
+    _reduce_hnf_entries(h)
     return freeze(h)
+
+
+def in_rational_span(span: dict, vec) -> bool:
+    """Whether an integer vector lies in the Q-span kept by ``rational_span``.
+
+    Bottom-up, each pivot row r clears v[r] by v -> c[r]/g . v - v[r]/g . c
+    with g = gcd(c[r], v[r]); a nonzero entry at a row without a pivot puts
+    v outside the span.
+    """
+    v = list(vec)
+    for r in range(len(v) - 1, -1, -1):
+        if v[r] == 0:
+            continue
+        c = span.get(r)
+        if c is None:
+            return False
+        g = gcd(c[r], v[r])
+        a, b = c[r] // g, v[r] // g
+        v = [a * x - b * y for x, y in zip(v, c)]
+    return True
 
 
 def column_span_basis(entries) -> Matrix:
@@ -380,18 +373,11 @@ def snf(m: PAdicMatrix) -> tuple:
     return tuple(m.p ** int_valuation(x, m.p) for x in d)
 
 
-def solve_integer(basis: LatticeBasis, target) -> Matrix:
-    """Solve B . X = T exactly over Z by back substitution.
-
-    Every column of T must lie in the lattice spanned by B; otherwise
-    NotInLatticeError is raised.
-    """
-    b = basis.matrix
-    n = basis.n
-    tcols = list(zip(*target))
+def _back_substitute(b: Matrix, target) -> Matrix:
+    """Solve B . X = T over Z for an upper triangular B, or raise NotInLatticeError."""
+    n = len(b)
     xcols = []
-    for col in tcols:
-        col = list(col)
+    for col in zip(*target):
         x = [0] * n
         for i in range(n - 1, -1, -1):
             r = col[i]
@@ -404,9 +390,6 @@ def solve_integer(basis: LatticeBasis, target) -> Matrix:
     return freeze(zip(*xcols))
 
 
-def in_lattice(basis: LatticeBasis, vector) -> bool:
-    try:
-        solve_integer(basis, tuple((v,) for v in vector))
-        return True
-    except NotInLatticeError:
-        return False
+def solve_integer(basis: LatticeBasis, target) -> Matrix:
+    """Solve B . X = T over Z; NotInLatticeError if a column of T is outside B's lattice."""
+    return _back_substitute(basis.matrix, target)

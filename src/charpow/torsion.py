@@ -32,6 +32,7 @@ from .lattice import (
     mat_transpose,
     row_hnf,
     scalar_matrix,
+    solve_integer,
 )
 
 LISTING_CAP = 100_000  # most subgroups, sums, or summands of one sum a listing holds
@@ -116,13 +117,10 @@ def subgroup_from_generators(p: int, n: int, gens) -> TorsionSubgroup:
     for g in gens:
         cols.append([int(Fraction(x) * q) for x in g])
     scaled = tuple(tuple(col[i] for col in cols) for i in range(n))
-    basis = column_span_basis(scaled)  # basis of q . (Z^n + <gens>)
+    basis = column_span_basis(scaled)  # basis of q . (Z^n + <gens>), which holds q . Z^n
     # A_H = q . basis^{-1} maps the preimage lattice onto Z^n
-    inv = mat_inverse_fractions(basis)
-    a = [[x * q for x in row] for row in inv]
-    if any(x.denominator != 1 for row in a for x in row):
-        raise SingularMatrixError("generated lattice does not contain Z^n")
-    return TorsionSubgroup(p, row_hnf([[int(x) for x in row] for row in a]))
+    a = solve_integer(LatticeBasis(p, basis), scalar_matrix(n, q))
+    return TorsionSubgroup(p, row_hnf(a))
 
 
 def subgroup_from_annihilator(p: int, basis: LatticeBasis) -> TorsionSubgroup:

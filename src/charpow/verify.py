@@ -273,7 +273,7 @@ def ideal_quotient_dim_matches(ideal, subs) -> bool:
 
 
 def _contains_indicator(ideal, c) -> bool:
-    return ideal.contains_vector([Fraction(int(rep == c.rep)) for rep in ideal.keys])
+    return ideal.contains_vector([int(rep == c.rep) for rep in ideal.keys])
 
 
 def ideal_contains_multi_summand(ideal) -> bool:

@@ -556,8 +556,8 @@ def test_wreath_transfer_ideal_quotient_matches_single_summands():
         assert ideal.quotient_dim() == len(singles)
 
 
-def test_row_reduce_rank_and_membership_fuzz():
-    from charpow.lattice import reduce_against, row_reduce
+def test_rational_span_rank_and_membership_fuzz():
+    from charpow.lattice import in_rational_span, rational_span
 
     def rank_oracle(rows):
         m = [list(map(Fraction, r)) for r in rows]
@@ -583,19 +583,18 @@ def test_row_reduce_rank_and_membership_fuzz():
     for _ in range(120):
         nrows, ncols = 1 + rng.below(6), 1 + rng.below(6)
         rows = [[rng.below(7) - 3 for _ in range(ncols)] for _ in range(nrows)]
-        basis = row_reduce([list(map(Fraction, r)) for r in rows])
-        assert len(basis) == rank_oracle(rows)
-        coeffs = [Fraction(rng.below(5) - 2) for _ in range(nrows)]
+        span = rational_span(rows, ncols)
+        rank = rank_oracle(rows)
+        assert len(span) == rank
+        coeffs = [rng.below(5) - 2 for _ in range(nrows)]
         comb = [
             sum(coeffs[i] * rows[i][j] for i in range(nrows)) for j in range(ncols)
         ]
-        assert all(x == 0 for x in reduce_against(comb, basis))
-        if len(basis) < ncols:
-            pivots = {next(j for j, x in enumerate(b) if x != 0) for b in basis}
-            free = next(j for j in range(ncols) if j not in pivots)
+        assert in_rational_span(span, comb)
+        for free in range(ncols):
             shifted = list(comb)
             shifted[free] += 1
-            assert not all(x == 0 for x in reduce_against(shifted, basis))
+            assert in_rational_span(span, shifted) == (rank_oracle(rows + [shifted]) == rank)
 
 
 def test_transfer_ideal_contains_constant_multiples():
@@ -644,6 +643,31 @@ def test_transfer_ideal_contains_level_3():
     f = indicator(multi, 3, c0_coordinate(P, N, 3))
     assert len(f.value_at(multi).values) == 4096
     assert ideal.contains(f) and _contains_by_column(ideal, f)
+
+
+@pytest.mark.parametrize("vec", [[1, 0, 0, 0, 5], [0], []])
+def test_transfer_ideal_rejects_a_vector_of_the_wrong_length(vec):
+    ideal = transfer_ideal(2, 1, 2, 4)
+    assert len(ideal.keys) == 4
+    message = rf"^vector has {len(vec)} entries, the ideal has 4 keys$"
+    with pytest.raises(ValueError, match=message):
+        ideal.contains_vector(vec)
+
+
+@pytest.mark.parametrize("spec", ["S5", "S3"])
+def test_transfer_ideal_rejects_a_function_on_another_group(spec):
+    ideal = transfer_ideal(2, 1, 2, 4)
+    f = random_class_function(build_group(spec), 2, 1, 2, seed=3)
+    with pytest.raises(ValueError, match="ideal's group"):
+        ideal.contains(f)
+
+
+@pytest.mark.parametrize("p, n, level", [(2, 2, 2), (2, 1, 3)])
+def test_transfer_ideal_rejects_a_function_at_other_parameters(p, n, level):
+    ideal = transfer_ideal(2, 1, 2, 4)
+    f = random_class_function(ideal.group, p, n, level, seed=3)
+    with pytest.raises(LevelMismatchError):
+        ideal.contains(f)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from charpow.lattice import (
     PAdicMatrix,
     column_span_basis,
     hnf,
-    in_lattice,
+    in_rational_span,
     mat_det,
+    mat_inverse_fractions,
     mat_mul,
-    reduce_against,
+    rational_span,
     row_hnf,
-    row_reduce,
     snf,
     solve_integer,
 )
@@ -55,7 +55,15 @@ def test_hnf_swap_example():
     assert h.index() == 2
     assert abs(mat_det(u)) == 1
     for vec in [(1, 0), (0, 1), (1, 1), (3, -2)]:
-        assert in_lattice(h, vec) == _in_span_bruteforce(m, vec)
+        assert _in_lattice(h, vec) == _in_span_bruteforce(m, vec)
+
+
+def _in_lattice(basis, vec):
+    try:
+        solve_integer(basis, tuple((v,) for v in vec))
+        return True
+    except NotInLatticeError:
+        return False
 
 
 def _in_span_bruteforce(m, vec):
@@ -84,7 +92,7 @@ def test_hnf_idempotent_and_span(m):
     h2, _ = hnf(h.matrix, 2)
     assert h2.matrix == h.matrix
     for vec in [(1, 0), (0, 1), (2, 3), (-1, 4)]:
-        assert in_lattice(h, vec) == _in_span_bruteforce(m, vec)
+        assert _in_lattice(h, vec) == _in_span_bruteforce(m, vec)
 
 
 @settings(max_examples=40)
@@ -228,12 +236,12 @@ def test_column_span_basis_rectangular():
     basis = column_span_basis(((2, 0, 1), (0, 2, 1)))
     assert mat_det(basis) != 0
     lb = LatticeBasis(2, basis)
-    assert in_lattice(lb, (1, 1))
-    assert not in_lattice(lb, (1, 0))
+    assert _in_lattice(lb, (1, 1))
+    assert not _in_lattice(lb, (1, 0))
 
 
 # ---------------------------------------------------------------------------
-# row reduction with a pivot map, against the pivot-rescanning version
+# rank, membership and inverses over Q, against rational row reduction
 
 
 def _oracle_pivot(row):
@@ -268,7 +276,17 @@ def _oracle_row_reduce(rows):
     return basis
 
 
-def test_row_reduce_matches_rescanning_oracle_on_seeded_matrices():
+def _oracle_in_span(vec, basis):
+    return not any(_oracle_reduce_against(vec, basis))
+
+
+def _cleared(vec):
+    """An integer multiple of a rational vector."""
+    den = math.lcm(*(Fraction(x).denominator for x in vec))
+    return [int(x * den) for x in vec]
+
+
+def test_rational_span_matches_row_reduce_oracle_on_seeded_matrices():
     rng = SplitMix64(2024)
     for _ in range(150):
         nrows, ncols = 1 + rng.below(9), 1 + rng.below(9)
@@ -276,20 +294,62 @@ def test_row_reduce_matches_rescanning_oracle_on_seeded_matrices():
             [Fraction(rng.below(11) - 5) if rng.below(3) else Fraction(0) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        basis = row_reduce(rows)
-        assert basis == _oracle_row_reduce(rows)
+        basis = _oracle_row_reduce(rows)
+        span = rational_span([[int(x) for x in row] for row in rows], ncols)
+        assert len(span) == len(basis)
         probe = [Fraction(rng.below(7) - 3, 1 + rng.below(3)) for _ in range(ncols)]
-        assert reduce_against(probe, basis) == _oracle_reduce_against(probe, basis)
+        comb = [sum(Fraction(rng.below(5) - 2) * row[j] for row in rows) for j in range(ncols)]
+        for vec in (probe, comb):
+            assert in_rational_span(span, _cleared(vec)) == _oracle_in_span(vec, basis)
 
 
-def test_row_reduce_matches_rescanning_oracle_on_transfer_ideal():
+def test_rational_span_matches_row_reduce_oracle_on_transfer_ideal():
     from charpow.classfn import transfer_ideal
     from charpow.groups import build_group
 
     ideal = transfer_ideal(2, 2, 2, 4, build_group("C2"))
     rows = [list(map(Fraction, g)) for g in ideal.generators]
     assert len(rows) == 1028
-    assert row_reduce(rows) == _oracle_row_reduce(rows)
+    basis = _oracle_row_reduce(rows)
+    assert ideal.rank == len(basis) == 233
+    size = len(ideal.keys)
+    probes = [[int(j == k) for j in range(size)] for k in range(size)]
+    rng = SplitMix64(5)
+    for _ in range(6):
+        picks = [ideal.generators[rng.below(len(rows))] for _ in range(4)]
+        comb = [sum(g[j] for g in picks) for j in range(size)]
+        comb[rng.below(size)] += rng.below(2)
+        probes.append(comb)
+    for vec in probes:
+        assert ideal.contains_vector(vec) == _oracle_in_span(vec, basis)
+
+
+def _seeded_nonsingular(rng, n):
+    while True:
+        a = tuple(tuple(rng.below(9) - 4 for _ in range(n)) for _ in range(n))
+        if mat_det(a) != 0:
+            return a
+
+
+def test_mat_inverse_fractions_matches_row_reduce_oracle():
+    from charpow.torsion import enumerate_subgroups
+
+    rng = SplitMix64(77)
+    cases = [_seeded_nonsingular(rng, 1 + rng.below(4)) for _ in range(200)]
+    cases += [h.matrix for k in range(4) for h in enumerate_subgroups(2, 2, k)]
+    for a in cases:
+        n = len(a)
+        rref = _oracle_row_reduce(
+            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)
+        )
+        assert [_oracle_pivot(row) for row in rref] == list(range(n))
+        assert mat_inverse_fractions(a) == tuple(tuple(row[n:]) for row in rref)
+
+
+def test_mat_inverse_fractions_rejects_singular():
+    with pytest.raises(SingularMatrixError):
+        mat_inverse_fractions(((1, 2), (2, 4)))
 
 
 # ---------------------------------------------------------------------------
