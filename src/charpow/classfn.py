@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,7 +78,7 @@ def matrix_space(p: int, level: int, n: int):
 
 
 def _translation_perm(p, level, n, a_flat, on_left):
-    """perm[t] = index of A . xi_t (on_left) or xi_t . A, mod p^level.
+    """perm[t] = index of A . xi_t (on_left) or xi_t . A, mod p^level, as a read-only intp array.
 
     Table index t is the base-q number of the row-major entries of xi_t, so
     all products are formed at once in int64; a product entry is below
@@ -91,7 +90,9 @@ def _translation_perm(p, level, n, a_flat, on_left):
     xi = (np.arange(size, dtype=np.int64)[:, None] // weights % q).reshape(size, n, n)
     a = np.array([x % q for x in a_flat], dtype=np.int64).reshape(n, n)
     prod = (a @ xi if on_left else xi @ a) % q
-    return tuple(prod.reshape(size, n * n).dot(weights).tolist())
+    perm = prod.reshape(size, n * n).dot(weights).astype(np.intp)
+    perm.flags.writeable = False
+    return perm
 
 
 @lru_cache(maxsize=None)
@@ -106,100 +107,196 @@ def _right_translation_perm(p, level, n, s_flat):
     return _translation_perm(p, level, n, s_flat, on_left=False)
 
 
+@lru_cache(maxsize=None)
+def _is_invertible_mod_p(p, n, a_flat):
+    """Whether A is invertible mod p, so that its translations permute M_n(Z/p^level)."""
+    return mat_det([a_flat[i * n:(i + 1) * n] for i in range(n)]) % p != 0
+
+
 def _flatten(entries):
     return tuple(int(x) for row in entries for x in row)
 
 
-@dataclass(frozen=True, init=False)
+# Entries of an int64 table are below 2**INT64_BITS in absolute value, so one
+# add or sub of two of them cannot overflow.
+INT64_BITS = 62
+
+
+def _dtype(bits):
+    """The tier of entries below 2**bits: int64, or Python ints above the bound."""
+    return np.int64 if bits <= INT64_BITS else object
+
+
+def _tier(arr, bits):
+    """arr, moved to Python ints if its entries may reach 2**bits beyond the int64 tier."""
+    if bits <= INT64_BITS or arr.dtype == object:
+        return arr
+    return arr.astype(object)
+
+
+def _from_python(num, den):
+    """(numerators, den, bits) of int or Fraction entries, normalized, with the exact bit bound."""
+    if den is None:
+        kinds = set(map(type, num))
+        for kind in kinds:
+            if not issubclass(kind, (int, Fraction)):
+                raise TypeError(f"table entries must be int or Fraction, got {kind.__name__}")
+        den = 1
+        if kinds != {int}:  # already normalized: each entry is in lowest terms
+            den = math.lcm(*{v.denominator for v in num})
+            num = tuple(v.numerator * (den // v.denominator) for v in num)
+    elif den < 1:
+        raise ValueError(f"den = {den} must be positive")
+    g = math.gcd(den, *num)  # also rejects a numerator that is not an integer
+    if g != 1:
+        den //= g
+        num = tuple(x // g for x in num)
+    bits = max(max(num), -min(num)).bit_length()
+    return np.array(num, dtype=_dtype(bits)), den, bits
+
+
+def _normalized(arr, den, bits):
+    """(arr, den, bits) divided by g = gcd(den, *arr), back in int64 once the bound allows.
+
+    |x / g| < 2**bits / g <= 2**(bits - bitlen(g) + 1).
+    """
+    if den == 1:
+        return arr, den, bits
+    g = math.gcd(int(np.gcd.reduce(arr)), den)
+    if g == 1:
+        return arr, den, bits
+    bits = max(bits - g.bit_length() + 1, 0)
+    arr = (_tier(arr, g.bit_length()) // g).astype(_dtype(bits), copy=False)
+    return arr, den // g, bits
+
+
 class C0Element:
     """Rational-valued function on M_n(Z/p^level), the level-N coefficient model.
 
-    The table is held as integer numerators num over one common denominator
-    den > 0, normalized so that gcd(den, *num) == 1.  Equal tables thus have
-    equal (num, den), and == and hash compare plain tuples.
+    The table is held as integer numerators over one common denominator
+    den > 0, normalized so that gcd(den, *num) == 1; equal tables thus have
+    equal (num, den).  The numerators are one read-only numpy array in one
+    of two tiers: int64 while a bit bound proves every entry below
+    2**INT64_BITS, Python ints (object dtype) otherwise.  Every operation
+    carries the bound forward and picks the tier from it; == and hash
+    never see the tier.
 
     C0Element(p, n, level, values) takes int or Fraction entries;
     C0Element(p, n, level, num, den) takes integer numerators over den.
     """
 
-    p: int
-    n: int
-    level: int
-    num: tuple
-    den: int
+    __slots__ = ("p", "n", "level", "den", "_arr", "_bits", "_hash")
 
-    def __init__(self, p, n, level, values, den=None):
-        size = _table_size(p, n, level)
-        num = tuple(values)
-        if len(num) != size:
-            raise LevelMismatchError(f"table must have {size} entries, got {len(num)}")
-        if den is None:
-            kinds = set(map(type, num))
-            for kind in kinds:
-                if not issubclass(kind, (int, Fraction)):
-                    raise TypeError(
-                        f"table entries must be int or Fraction, got {kind.__name__}"
-                    )
-            den = 1
-            if kinds != {int}:  # already normalized: each entry is in lowest terms
-                den = math.lcm(*{v.denominator for v in num})
-                num = tuple(v.numerator * (den // v.denominator) for v in num)
-        elif den < 1:
-            raise ValueError(f"den = {den} must be positive")
-        g = math.gcd(den, *num)  # also rejects a numerator that is not an integer
-        if g != 1:
-            den //= g
-            num = tuple(x // g for x in num)
-        for name, value in zip(("p", "n", "level", "num", "den"), (p, n, level, num, den)):
+    def __init__(self, p, n, level, values, den=None, *, _bits=None, _reduced=False):
+        """The private keywords are for tables made by the operations below: _bits
+        marks values as a numerator array of the right size, in its tier, with
+        every |entry| < 2**_bits; _reduced marks it as already normalized."""
+        if _bits is None:
+            size = _table_size(p, n, level)
+            values = tuple(values)
+            if len(values) != size:
+                raise LevelMismatchError(f"table must have {size} entries, got {len(values)}")
+            values, den, _bits = _from_python(values, den)
+        elif not _reduced:
+            values, den, _bits = _normalized(values, den, _bits)
+        values.flags.writeable = False
+        for name, value in zip(self.__slots__, (p, n, level, den, values, _bits, None)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"C0Element is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return C0Element, (self.p, self.n, self.level, self.num, self.den)
+
+    @property
+    def num(self) -> tuple:
+        """The numerators, as a tuple of Python ints."""
+        return tuple(self._arr.tolist())
 
     @property
     def values(self) -> tuple:
         """The entries: the numerators when den is 1, Fractions otherwise."""
         if self.den == 1:
             return self.num
-        return tuple(Fraction(x, self.den) for x in self.num)
+        return tuple(Fraction(x, self.den) for x in self._arr.tolist())
 
-    def _like(self, num, den):
-        return C0Element(self.p, self.n, self.level, num, den)
+    def __eq__(self, other):
+        if not isinstance(other, C0Element):
+            return NotImplemented
+        return (self.p, self.n, self.level, self.den) == (
+            other.p, other.n, other.level, other.den
+        ) and np.array_equal(self._arr, other._arr)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.p, self.n, self.level, self.num, self.den))
+            )
+        return self._hash
+
+    def __repr__(self):
+        return (
+            f"C0Element(p={self.p}, n={self.n}, level={self.level}, "
+            f"num={self.num}, den={self.den})"
+        )
+
+    def _like(self, arr, den, bits, reduced=False):
+        return C0Element(self.p, self.n, self.level, arr, den, _bits=bits, _reduced=reduced)
 
     def _over(self, den):
-        """The numerators over den, a multiple of self.den."""
+        """(numerators over den, their bit bound), for den a multiple of self.den."""
         k = den // self.den
-        return self.num if k == 1 else map(k.__mul__, self.num)
+        if k == 1:
+            return self._arr, self._bits
+        bits = self._bits + k.bit_length()
+        return _tier(self._arr, bits) * k, bits
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not np.count_nonzero(self._arr)
+
+    def _combine(self, other, op):
+        """op (add or subtract) entrywise over the common denominator."""
+        self._check(other)
+        den = math.lcm(self.den, other.den)
+        (a, a_bits), (b, b_bits) = self._over(den), other._over(den)
+        bits = max(a_bits, b_bits) + 1
+        return self._like(op(_tier(a, bits), _tier(b, bits)), den, bits)
 
     def add(self, other: "C0Element") -> "C0Element":
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        return self._like(map(operator.add, self._over(den), other._over(den)), den)
+        return self._combine(other, np.add)
 
     def sub(self, other: "C0Element") -> "C0Element":
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        return self._like(map(operator.sub, self._over(den), other._over(den)), den)
+        return self._combine(other, np.subtract)
 
     def mul(self, other: "C0Element") -> "C0Element":
         self._check(other)
-        return self._like(map(operator.mul, self.num, other.num), self.den * other.den)
+        bits = self._bits + other._bits
+        return self._like(
+            _tier(self._arr, bits) * _tier(other._arr, bits), self.den * other.den, bits
+        )
 
     def scale(self, c) -> "C0Element":
         c = Fraction(c)
-        return self._like(map(c.numerator.__mul__, self.num), self.den * c.denominator)
+        bits = self._bits + abs(c.numerator).bit_length()
+        return self._like(_tier(self._arr, bits) * c.numerator, self.den * c.denominator, bits)
 
     def act_isogeny(self, phi: Isogeny) -> "C0Element":
         """Right action (c . phi)(xi) = c(A_phi xi); a ring homomorphism."""
         return self.act_matrix_left(phi.matrix.entries)
 
     def act_matrix_left(self, entries) -> "C0Element":
-        perm = _left_translation_perm(self.p, self.level, self.n, _flatten(entries))
-        return self._like(map(self.num.__getitem__, perm), self.den)
+        a_flat = _flatten(entries)
+        return self._gather(_left_translation_perm(self.p, self.level, self.n, a_flat), a_flat)
 
     def act_matrix_right(self, entries) -> "C0Element":
-        perm = _right_translation_perm(self.p, self.level, self.n, _flatten(entries))
-        return self._like(map(self.num.__getitem__, perm), self.den)
+        s_flat = _flatten(entries)
+        return self._gather(_right_translation_perm(self.p, self.level, self.n, s_flat), s_flat)
+
+    def _gather(self, perm, a_flat):
+        """The table read through perm; a bijective perm keeps den and the gcd."""
+        bijective = _is_invertible_mod_p(self.p, self.n, a_flat)
+        return self._like(self._arr[perm], self.den, self._bits, reduced=bijective)
 
     def _check(self, other):
         if (self.p, self.n, self.level) != (other.p, other.n, other.level):
@@ -427,8 +524,9 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     """Orbits of GL_n(Z/p^level) on the pairs (class position c, table index t).
 
     A pair is numbered c * size + t.  Returns the orbit label of each pair,
-    orbits numbered from 0, and the size of each orbit.  A generator g sends
-    (c, t) to the pair that act_by_residue reads: (pos of [alpha_c g^T], perm_g[t]).
+    orbits numbered from 0, as a read-only intp array, and the size of each
+    orbit.  A generator g sends (c, t) to the pair that act_by_residue
+    reads: (pos of [alpha_c g^T], perm_g[t]).
     """
     classes = enumerate_hom_classes(group, n, p)
     pos = _class_positions(group, n, p)
@@ -442,7 +540,7 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
         return x
 
     for g in _gl_generators(p, level, n):
-        perm = _left_translation_perm(p, level, n, _flatten(g))
+        perm = _left_translation_perm(p, level, n, _flatten(g)).tolist()
         tr = mat_transpose(g)
         for c, cls in enumerate(classes):
             start, image = c * size, pos[precompose(cls, tr).rep] * size
@@ -453,7 +551,9 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     _, labels, counts = np.unique(
         [find(x) for x in range(len(parent))], return_inverse=True, return_counts=True
     )
-    return tuple(labels.tolist()), tuple(counts.tolist())
+    labels = labels.astype(np.intp)
+    labels.flags.writeable = False
+    return labels, tuple(counts.tolist())
 
 
 def average(f: ClassFunction) -> ClassFunction:
@@ -469,18 +569,21 @@ def average(f: ClassFunction) -> ClassFunction:
     size = _table_size(f.p, f.n, f.level)
     pos = _class_positions(f.group, f.n, f.p)
     den = math.lcm(*(val.den for val in f.values.values()))
-    sums = [0] * len(counts)
-    for rep, val in f.values.items():
-        start = pos[rep] * size
-        for label, x in zip(labels[start:start + size], val._over(den)):
-            sums[label] += x
+    over = [(pos[rep] * size, *val._over(den)) for rep, val in f.values.items()]
+    # orbit k sums at most counts[k] numerators
+    bits = max((b for _, _, b in over), default=0) + max(counts).bit_length()
+    sums = np.zeros(len(counts), dtype=_dtype(bits))
+    for start, x, _ in over:
+        np.add.at(sums, labels[start:start + size], x)
     # the mean over orbit k is sums[k] / (counts[k] * den) = means[k] / (whole * den)
     whole = math.lcm(*counts)
-    means = [s * (whole // c) for s, c in zip(sums, counts)]
+    bits += whole.bit_length()
+    means = _tier(sums, bits) * np.array([whole // c for c in counts], dtype=_dtype(bits))
+    bits = max(int(means.max()), -int(means.min())).bit_length()  # exact, and often far lower
+    means = means.astype(_dtype(bits), copy=False)
     return f._like({
         rep: C0Element(
-            f.p, f.n, f.level, map(means.__getitem__, labels[c * size:(c + 1) * size]),
-            whole * den,
+            f.p, f.n, f.level, means[labels[c * size:(c + 1) * size]], whole * den, _bits=bits
         )
         for rep, c in pos.items()
     })
@@ -703,8 +806,8 @@ class TransferIdeal:
             raise LevelMismatchError("class function parameters do not match the ideal")
         tables = [f.value_at(rep) for rep in self.keys]
         den = math.lcm(*(t.den for t in tables))
-        columns = zip(*([x * (den // t.den) for x in t.num] for t in tables))
-        return all(in_rational_span(self._span, column) for column in set(columns))
+        columns = np.stack([t._over(den)[0] for t in tables], axis=1).tolist()
+        return all(in_rational_span(self._span, column) for column in set(map(tuple, columns)))
 
 
 def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
@@ -741,6 +844,13 @@ def _parse_fraction(s: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def _fraction_strings(val: C0Element) -> list:
+    """Each entry as "num/den" in lowest terms, with one gcd pass over the table."""
+    arr = _tier(val._arr, max(val._bits, val.den.bit_length()))
+    g = np.gcd(arr, val.den)
+    return [f"{x}/{d}" for x, d in zip((arr // g).tolist(), (val.den // g).tolist())]
+
+
 def to_json_dict(f: ClassFunction) -> dict:
     return {
         "p": f.p,
@@ -748,9 +858,7 @@ def to_json_dict(f: ClassFunction) -> dict:
         "level": f.level,
         "group": f.group.name,
         "classes": [
-            {"rep": list(rep), "value": [
-                f"{x // (g := math.gcd(x, val.den))}/{val.den // g}" for x in val.num
-            ]}
+            {"rep": list(rep), "value": _fraction_strings(val)}
             for rep, val in sorted(f.values.items())
         ],
     }

@@ -37,6 +37,7 @@ from .torsion import (
 
 ORDER_CAP = 10_000
 _CHECK_BLOCK = 1 << 18  # table entries per associativity comparison
+_RANK_STEPS = 64  # powers taken to rank candidate generators by order
 
 
 class FiniteGroup:
@@ -90,19 +91,43 @@ class FiniteGroup:
                     raise ValueError(f"multiplication table of {self.name} is not associative")
 
     def _generators(self):
-        """Greedy generators: each is the first element that products of the others miss."""
-        table = self.table
+        """A small generating set for Light's test.
+
+        Greedy by order: each next generator is an element of largest order
+        that products of the earlier ones miss, the first such on ties; then
+        each generator that the others already generate is dropped.  S5 to S7
+        end with two, where taking the first element missed needs m - 1.
+        Orders above _RANK_STEPS rank alike, so a table that is no group
+        still ends.
+        """
+        rank = np.full(self.order, _RANK_STEPS + 1)
+        live = power = np.arange(self.order)  # power is x^k for each live x
+        for k in range(1, _RANK_STEPS + 1):
+            done = power == self.identity
+            rank[live[done]] = k
+            live, power = live[~done], power[~done]
+            if not live.size:
+                break
+            power = self.table[power, live]
+        gens = []
+        while not (reached := self._closure(gens)).all():
+            gens.append(int(np.argmax(np.where(reached, 0, rank))))
+        for g in gens[:-1]:  # the others always miss the last one
+            rest = [x for x in gens if x != g]
+            if self._closure(rest).all():
+                gens = rest
+        return gens
+
+    def _closure(self, gens):
+        """Mask of the elements that the identity reaches by right products with gens."""
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
-        gens = []
-        while not reached.all():
-            gens.append(int(np.argmin(reached)))
-            frontier = np.flatnonzero(reached)
-            while frontier.size:  # breadth-first: right-multiply by every generator
-                before = reached.copy()
-                reached[table[frontier[:, None], gens]] = True
-                frontier = np.flatnonzero(reached ^ before)
-        return gens
+        frontier = np.flatnonzero(reached)
+        while frontier.size and gens:  # breadth-first
+            before = reached.copy()
+            reached[self.table[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(reached ^ before)
+        return reached
 
     @property
     def order(self) -> int:

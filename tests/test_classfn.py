@@ -3,9 +3,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from charpow.classfn import (
+    INT64_BITS,
     TABLE_CAP,
     C0Element,
     ClassFunction,
@@ -15,6 +17,7 @@ from charpow.classfn import (
     aut_act,
     average,
     _gl_generators,
+    _is_invertible_mod_p,
     _left_translation_perm,
     _right_translation_perm,
     _translation_perm,
@@ -366,6 +369,85 @@ def test_c0_table_hashes_like_fraction_table():
     assert ints != C0Element(2, 1, 2, (0, 2, 4, 6), 3)
 
 
+# ---------------------------------------------------------------------------
+# the two tiers of numerators: int64 under the bit bound, Python ints above it
+
+
+def _tier_tables():
+    """Tables at p = 2, n = 1, level = 2 with entries near 2^31, 2^62 and above 2^63."""
+    return [
+        C0Element(2, 1, 2, (2 ** 31 - 1, -(2 ** 31), 2 ** 31 + 5, 7)),
+        C0Element(2, 1, 2, (2 ** 62 - 1, -(2 ** 62 - 1), 3, Fraction(2 ** 62 - 1, 3))),
+        C0Element(2, 1, 2, (2 ** 63 + 1, -(2 ** 63) - 5, 1, Fraction(2 ** 64 + 1, 3))),
+        C0Element(2, 1, 2, (Fraction(2 ** 40, 7), -5, 0, Fraction(1, 2 ** 63))),
+        C0Element(2, 1, 2, (Fraction(1, 2 ** 64), Fraction(-3, 2 ** 64), 0, Fraction(1, 2 ** 63))),
+        c0_constant(2, 1, 2, 0),
+    ]
+
+
+def test_c0_tiers_follow_the_bit_bound():
+    near31, near62, above63, big_nums, big_den, _ = _tier_tables()
+    assert near31._arr.dtype == np.int64 and near62._arr.dtype == np.int64
+    assert above63._arr.dtype == object and big_nums._arr.dtype == object
+    assert big_den._arr.dtype == np.int64 and big_den.den == 2 ** 64
+    assert INT64_BITS == 62
+    # a product and a sum of int64 tables whose bound passes 62 bits go to Python ints
+    assert near31.mul(near31)._arr.dtype == object
+    assert near31.mul(near31).values == tuple(x * x for x in near31.values)
+    assert near62.add(near62)._arr.dtype == object
+    assert near62.add(near62).values[0] == 2 ** 63 - 2
+    assert near62.sub(near62.scale(-1)).values[1] == -(2 ** 63) + 2
+    assert near62.scale(4).values[0] == 2 ** 64 - 4
+    # and a table whose bound drops back under 62 bits by normalization returns to int64
+    down = above63.scale(Fraction(1, 2 ** 70)).scale(2 ** 70)
+    assert down == above63
+    assert c0_constant(2, 1, 2, 2 ** 70).scale(Fraction(1, 2 ** 70))._arr.dtype == np.int64
+
+
+@pytest.mark.parametrize("gather", [False, True])
+def test_c0_tiers_match_fraction_oracle(gather):
+    tables = _tier_tables()
+    for c in tables:
+        _assert_matches(c, FractionTable(c.values))
+    for a, b in itertools.product(tables, repeat=2):
+        fa, fb = FractionTable(a.values), FractionTable(b.values)
+        for c, fc in ((a.add(b), fa.add(fb)), (a.sub(b), fa.sub(fb)), (a.mul(b), fa.mul(fb))):
+            _assert_matches(c, fc)
+            if gather:  # a singular left translation, then a bijective right one
+                left = _loop_translation_perm(2, 2, 1, (2,), on_left=True)
+                right = _loop_translation_perm(2, 2, 1, (3,), on_left=False)
+                _assert_matches(c.act_matrix_left(((2,),)), fc.gather(left))
+                _assert_matches(c.act_matrix_right(((3,),)), fc.gather(right))
+        for k in (0, -1, 2 ** 40, Fraction(-3, 2 ** 62)):
+            _assert_matches(a.scale(k), fa.scale(k))
+
+
+def test_c0_equal_tables_in_both_tiers_are_equal_and_hash_alike():
+    small = (5, -3, 0, Fraction(1, 2))
+    as_int64 = C0Element(2, 1, 2, small)
+    big = c0_constant(2, 1, 2, 2 ** 70)
+    as_object = C0Element(2, 1, 2, tuple(big.values[0] + v for v in small)).sub(big)
+    assert as_int64._arr.dtype == np.int64 and as_object._arr.dtype == object
+    assert as_object == as_int64 and hash(as_object) == hash(as_int64)
+    assert len({as_object, as_int64, C0Element(2, 1, 2, map(Fraction, small))}) == 1
+    assert as_object.num == as_int64.num == (10, -6, 0, 1)
+    assert all(type(x) is int for x in as_object.num)
+    assert as_object != as_int64.scale(2)
+
+
+@pytest.mark.parametrize("p, n, level", [(2, 1, 3), (2, 2, 2), (3, 2, 1)])
+def test_translation_is_bijective_exactly_when_invertible_mod_p(p, n, level):
+    size = (p ** level) ** (n * n)
+    rng = SplitMix64(31 * p + n + level)
+    for _ in range(40):
+        flat = tuple(rng.below(p ** level) for _ in range(n * n))
+        for perm in (_left_translation_perm(p, level, n, flat),
+                     _right_translation_perm(p, level, n, flat)):
+            assert not perm.flags.writeable
+            bijective = len(set(perm.tolist())) == size
+            assert _is_invertible_mod_p(p, n, flat) == bijective
+
+
 def _levels_within_cap(p, n):
     level = 1
     while (p ** level) ** (n * n) <= TABLE_CAP:
@@ -384,9 +466,8 @@ def test_translation_perms_match_loop(p, n, level):
     flats = [flat, tuple(x + q * rng.below(5) - 2 * q for x in flat)]  # and an unreduced lift
     for a_flat in flats:
         for on_left in (True, False):
-            assert _translation_perm(p, level, n, a_flat, on_left) == _loop_translation_perm(
-                p, level, n, a_flat, on_left
-            )
+            perm = _translation_perm(p, level, n, a_flat, on_left)
+            assert tuple(perm.tolist()) == _loop_translation_perm(p, level, n, a_flat, on_left)
 
 
 def test_class_function_rejects_bad_keys(s3):
@@ -475,8 +556,9 @@ def _invariant_by_full_loop(f):
 def test_average_matches_full_group_mean(spec, p, n, level):
     f = random_class_function(build_group(spec), p, n, level, seed=4)
     rep, val = list(f.values.items())[-1]
-    # f itself, and f on one class only, whose orbit meets classes where it is zero
-    for h in (f, ClassFunction(f.group, p, n, level, {rep: val})):
+    # f itself, f on one class only, whose orbit meets classes where it is zero,
+    # and f with entries above the int64 tier
+    for h in (f, ClassFunction(f.group, p, n, level, {rep: val}), f.scale(2 ** 70 + 1)):
         hav = average(h)
         assert is_invariant(hav)
         assert average(hav) == hav
@@ -927,6 +1009,40 @@ def test_section_out_of_range(s3, m, op):
     f = random_class_function(s3, P, N, LEVEL, seed=20)
     with pytest.raises(SectionOutOfRangeError):
         op(f, m, small)
+
+
+def _oracle_json_dict(f):
+    """Oracle: the per-entry formula, one math.gcd per entry."""
+    return {
+        "p": f.p, "n": f.n, "level": f.level, "group": f.group.name,
+        "classes": [
+            {"rep": list(rep), "value": [
+                f"{x // (g := math.gcd(x, val.den))}/{val.den // g}" for x in val.num
+            ]}
+            for rep, val in sorted(f.values.items())
+        ],
+    }
+
+
+def test_to_json_dict_matches_per_entry_formula_byte_for_byte(s3):
+    c2 = build_group("C2")
+    classes = [cls.rep for cls in enumerate_hom_classes(c2, 1, 2)]
+    mixed = C0Element(2, 1, 2, (Fraction(1, 6), Fraction(1, 2), Fraction(2, 3), -1))
+    huge = C0Element(2, 1, 2, (Fraction(2 ** 70, 3), Fraction(-1, 2 ** 65), 6, 0))
+    big_den = C0Element(2, 1, 2, (Fraction(1, 2 ** 64), Fraction(-6, 2 ** 64), 0, Fraction(1, 8)))
+    assert mixed.den == 6 and mixed._arr.dtype == np.int64
+    assert huge._arr.dtype == object and huge.den > 2 ** 64
+    assert big_den._arr.dtype == np.int64 and big_den.den == 2 ** 64
+    cases = [
+        ClassFunction(c2, 2, 1, 2, dict(zip(classes, (mixed, huge)))),
+        ClassFunction(c2, 2, 1, 2, dict(zip(classes, (mixed.mul(mixed), huge.add(mixed))))),
+        ClassFunction(c2, 2, 1, 2, dict(zip(classes, (big_den, big_den.mul(mixed))))),
+        random_class_function(s3, P, N, LEVEL, seed=22),
+    ]
+    for f in cases:
+        got = json.dumps(to_json_dict(f), sort_keys=True, separators=(",", ":"))
+        want = json.dumps(_oracle_json_dict(f), sort_keys=True, separators=(",", ":"))
+        assert got == want
 
 
 def test_serialization_roundtrip(s3, section):

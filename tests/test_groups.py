@@ -254,6 +254,22 @@ def test_light_test_agrees_with_exhaustive_check(suite_groups):
             assert _light_accepts(g.name, g.elements, bad) == _associative(bad), g.name
 
 
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_light_test_generators_of_symmetric_groups_are_few_and_generate(m):
+    # Taking the first element missed gave the m - 1 adjacent transpositions.
+    g = build_group(f"S{m}")
+    gens = g._generators()
+    assert len(gens) < m - 1
+    seen, frontier = {g.identity}, [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for y in (g.mul(x, h) for h in gens):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    assert len(seen) == g.order
+
+
 @pytest.mark.parametrize("spec, row, col", [("S5", 100, 110), ("S6", 100, 200), ("S6", 719, 1)])
 def test_one_wrong_entry_is_rejected(spec, row, col):
     # S6 is above order 200, where a check of 20 000 sampled triples

@@ -244,31 +244,47 @@ def test_column_span_basis_rectangular():
 # rank, membership and inverses over Q, against rational row reduction
 
 
+def _sparse(row):
+    """A row as {column: Fraction} over its nonzero entries."""
+    return {j: Fraction(x) for j, x in enumerate(row) if x}
+
+
 def _oracle_pivot(row):
-    return next((i for i, x in enumerate(row) if x != 0), None)
+    return min(row, default=None)
+
+
+def _oracle_add_multiple(row, c, other):
+    """row + c . other, touching only the nonzero entries of other."""
+    row = dict(row)
+    for j, y in other.items():
+        x = row.get(j, 0) + c * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return row
 
 
 def _oracle_reduce_against(row, basis):
-    row = list(row)
     for b in basis:
-        c = row[_oracle_pivot(b)]
-        if c != 0:
-            row = [x - c * y for x, y in zip(row, b)]
+        c = row.get(_oracle_pivot(b))
+        if c:
+            row = _oracle_add_multiple(row, -c, b)
     return row
 
 
 def _oracle_row_reduce(rows):
-    """Oracle: each step rescans every basis row for its pivot."""
+    """Oracle: rational RREF of sparse rows; each step rescans every basis row for its pivot."""
     basis = []
     for row in rows:
-        row = _oracle_reduce_against(row, basis)
+        row = _oracle_reduce_against(_sparse(row), basis)
         piv = _oracle_pivot(row)
         if piv is None:
             continue
-        inv = Fraction(1) / row[piv]
-        row = [x * inv for x in row]
+        inv = 1 / row[piv]
+        row = {j: x * inv for j, x in row.items()}
         basis = [
-            [x - b[piv] * y for x, y in zip(b, row)] if b[piv] != 0 else b
+            _oracle_add_multiple(b, -b[piv], row) if piv in b else b
             for b in basis
         ]
         basis.append(row)
@@ -277,7 +293,7 @@ def _oracle_row_reduce(rows):
 
 
 def _oracle_in_span(vec, basis):
-    return not any(_oracle_reduce_against(vec, basis))
+    return not _oracle_reduce_against(_sparse(vec), basis)
 
 
 def _cleared(vec):
@@ -308,7 +324,7 @@ def test_rational_span_matches_row_reduce_oracle_on_transfer_ideal():
     from charpow.groups import build_group
 
     ideal = transfer_ideal(2, 2, 2, 4, build_group("C2"))
-    rows = [list(map(Fraction, g)) for g in ideal.generators]
+    rows = ideal.generators
     assert len(rows) == 1028
     basis = _oracle_row_reduce(rows)
     assert ideal.rank == len(basis) == 233
@@ -344,7 +360,9 @@ def test_mat_inverse_fractions_matches_row_reduce_oracle():
             for i, row in enumerate(a)
         )
         assert [_oracle_pivot(row) for row in rref] == list(range(n))
-        assert mat_inverse_fractions(a) == tuple(tuple(row[n:]) for row in rref)
+        assert mat_inverse_fractions(a) == tuple(
+            tuple(row.get(j, 0) for j in range(n, 2 * n)) for row in rref
+        )
 
 
 def test_mat_inverse_fractions_rejects_singular():
