@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     GroupTooLargeError,
+    ListingTooLargeError,
     NotAHomomorphismError,
     NotASubgroupError,
     NotPPowerTupleError,
@@ -30,6 +31,7 @@ from .lattice import (
     solve_integer,
 )
 from .torsion import (
+    LISTING_CAP,
     SumOfSubgroups,
     annihilator_lattice,
     subgroup_from_annihilator,
@@ -67,10 +69,13 @@ class FiniteGroup:
         if (inv < 0).any():
             raise ValueError(f"group {self.name} has an element without inverse")
         self.inv = inv.astype(np.uint16)
+        self._gens = self._generators()
         self._check_associativity()
         self._orders = None
+        self._center = None
         self._hom_classes = {}
         self._subgroup_groups = {}
+        self._cosets = {}
 
     def _check_associativity(self):
         """Light's test on a generating set: exhaustive, and cheap.
@@ -83,7 +88,7 @@ class FiniteGroup:
         """
         table, n = self.table, self.order
         rows = max(1, _CHECK_BLOCK // n)
-        for g in self._generators():
+        for g in self._gens:
             left, right = table[:, g], table[g]
             for r in range(0, n, rows):
                 block = table[r:r + rows]
@@ -100,15 +105,7 @@ class FiniteGroup:
         Orders above _RANK_STEPS rank alike, so a table that is no group
         still ends.
         """
-        rank = np.full(self.order, _RANK_STEPS + 1)
-        live = power = np.arange(self.order)  # power is x^k for each live x
-        for k in range(1, _RANK_STEPS + 1):
-            done = power == self.identity
-            rank[live[done]] = k
-            live, power = live[~done], power[~done]
-            if not live.size:
-                break
-            power = self.table[power, live]
+        rank = self._element_orders(_RANK_STEPS)
         gens = []
         while not (reached := self._closure(gens)).all():
             gens.append(int(np.argmax(np.where(reached, 0, rank))))
@@ -129,6 +126,23 @@ class FiniteGroup:
             frontier = np.flatnonzero(reached ^ before)
         return reached
 
+    def _element_orders(self, cap=None):
+        """Order of every element, from powers taken for all elements at once.
+
+        With a cap, at most cap powers are taken and larger orders read
+        cap + 1, so a table that is not yet known to be a group still ends.
+        """
+        out = np.full(self.order, 0 if cap is None else cap + 1, dtype=np.int64)
+        live = power = np.arange(self.order)  # power is x^k for each live x
+        k = 1
+        while live.size and (cap is None or k <= cap):
+            done = power == self.identity
+            out[live[done]] = k
+            live, power = live[~done], power[~done]
+            power = self.table[power, live]
+            k += 1
+        return out
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -144,14 +158,7 @@ class FiniteGroup:
 
     def orders(self):
         if self._orders is None:
-            out = np.empty(self.order, dtype=np.int64)
-            for i in range(self.order):
-                k, acc = 1, i
-                while acc != self.identity:
-                    acc = self.mul(acc, i)
-                    k += 1
-                out[i] = k
-            self._orders = out
+            self._orders = self._element_orders()
         return self._orders
 
     def power(self, i: int, e: int) -> int:
@@ -168,6 +175,13 @@ class FiniteGroup:
     def p_power_elements(self, p: int):
         orders = self.orders()
         return [i for i in range(self.order) if is_p_power(int(orders[i]), p)]
+
+    def _center_mask(self):
+        """Mask of the central elements: those commuting with each generator."""
+        if self._center is None:
+            self._center = np.zeros(self.order, dtype=bool)
+            self._center[self.centralizer(self._gens)] = True
+        return self._center
 
     def centralizer(self, idxs):
         table = self.table
@@ -211,6 +225,15 @@ class TupleClass:
                 raise NotPPowerTupleError("tuple entries do not commute")
         object.__setattr__(self, "rep", canonical_tuple(self.group, rep))
 
+    @classmethod
+    def _canonical(cls, group, rep, p):
+        """A class whose rep is already a canonical tuple of ints; skips every check."""
+        alpha = object.__new__(cls)
+        object.__setattr__(alpha, "group", group)
+        object.__setattr__(alpha, "rep", rep)
+        object.__setattr__(alpha, "p", p)
+        return alpha
+
     @property
     def n(self) -> int:
         return len(self.rep)
@@ -245,14 +268,16 @@ def _check_order(name, factors):
 def _perm_table(perms):
     """Composition table (s t)(i) = s(t(i)) of lexicographically sorted permutations.
 
-    A permutation's base-m digits are its entries, so its key ranks it.
+    A permutation's base-m digits are its entries, so its key ranks it; a
+    dense key -> index array of m^m entries (823543 for S7) reads each row.
     """
     n, m = perms.shape
     weights = m ** np.arange(m - 1, -1, -1)
-    keys = perms.dot(weights)
+    rank = np.zeros(m ** m, dtype=np.uint16)
+    rank[perms.dot(weights)] = np.arange(n)
     table = np.empty((n, n), dtype=np.uint16)
     for a in range(n):
-        table[a] = np.searchsorted(keys, perms[a][perms].dot(weights))
+        table[a] = rank[perms[a][perms].dot(weights)]
     return table
 
 
@@ -506,7 +531,23 @@ def abelian_subgroups(group: FiniteGroup):
 
 
 def enumerate_hom_classes(group: FiniteGroup, n: int, p: int):
-    """Complete duplicate-free list of classes of commuting p-power n-tuples."""
+    """Complete duplicate-free list of classes of commuting p-power n-tuples.
+
+    Hom(Z_p^n, G)/G is the disjoint union over classes [g] of p-power
+    elements of Hom(Z_p^(n-1), C(g))/C(g).  The walk carries the
+    centralizer C of the prefix and the pool of p-power elements that
+    commute with the prefix, ascending.  It branches only on the least
+    element x of each C-orbit in the pool; the child keeps the part of C
+    and of the pool that commutes with x.  A central x is its own orbit
+    and keeps both whole.
+
+    So every leaf is canonical, the least tuple of its class: h_1 is the
+    least conjugate of g_1, the conjugators reaching h_1 form a coset of
+    C(h_1), so h_2 is the least C(h_1)-conjugate of its entry, and so on.
+    Leaves come out sorted, one per class.  ListingTooLargeError is raised
+    past LISTING_CAP leaves, with nothing more built, and before the walk
+    when n alone shows the listing too large.
+    """
     key = (n, p)
     if key in group._hom_classes:
         return group._hom_classes[key]
@@ -514,30 +555,47 @@ def enumerate_hom_classes(group: FiniteGroup, n: int, p: int):
         raise ValueError(f"p = {p} is not prime")
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
-    ppow = group.p_power_elements(p)
-    # first coordinate only needs one representative per conjugacy class
-    reps, seen = [], set()
-    for g in ppow:
-        c = canonical_tuple(group, (g,))[0]
-        if c not in seen:
-            seen.add(c)
-            reps.append(c)
-    found = set()
+    ppow = np.array(group.p_power_elements(p), dtype=np.intp)
+    too_many = f"n = {n}: more than LISTING_CAP = {LISTING_CAP} tuple classes in {group.name}"
+    if n > LISTING_CAP:
+        raise ListingTooLargeError(f"n = {n}: a tuple of more than LISTING_CAP = {LISTING_CAP} entries")
+    # an x != e of p-power order gives the 2^n or more commuting tuples of
+    # <x>^n, and a class holds at most |G| tuples
+    if len(ppow) > 1 and 2 ** n > LISTING_CAP * group.order:
+        raise ListingTooLargeError(too_many)
+    table, inv, central = group.table, group.inv, group._center_mask()
+    reps, path = [], []  # path[d]: the entry chosen at depth d
 
-    def extend(prefix, commuting):
-        if len(prefix) == n:
-            found.add(canonical_tuple(group, prefix))
-            return
-        pool = reps if not prefix else commuting
-        candidates = np.array(commuting, dtype=np.intp)
-        for g in pool:
-            mask = group.table[g, candidates] == group.table[candidates, g]
-            extend(prefix + (g,), candidates[mask].tolist())
+    def node(cent, cent_inv, pool):
+        """A node of the walk; its iterator resumes where a child was entered."""
+        return cent, cent_inv, pool, np.zeros(len(pool), dtype=bool), iter(enumerate(pool.tolist()))
 
-    extend((), ppow)
-    classes = tuple(
-        TupleClass(group, rep, p) for rep in sorted(found)
-    )
+    stack = [node(np.arange(group.order), inv, ppow)]
+    while stack:  # depth first, without recursion
+        cent, cent_inv, pool, done, todo = stack[-1]
+        last = len(stack) == n
+        for i, x in todo:
+            if done[i]:
+                continue
+            if not central[x]:  # mark the C-orbit of x, a part of the pool
+                done[np.searchsorted(pool, table[table[cent, x], cent_inv])] = True
+            if last:
+                if len(reps) == LISTING_CAP:
+                    raise ListingTooLargeError(too_many)
+                reps.append((*path, x))
+                continue
+            path.append(x)
+            if central[x]:
+                stack.append(node(cent, cent_inv, pool))
+            else:
+                child = cent[table[cent, x] == table[x, cent]]
+                stack.append(node(child, inv[child], pool[table[pool, x] == table[x, pool]]))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    classes = tuple(TupleClass._canonical(group, rep, p) for rep in reps)
     group._hom_classes[key] = classes
     return classes
 
@@ -559,20 +617,36 @@ def precompose(alpha: TupleClass, t: Matrix) -> TupleClass:
 def fixed_coset_conjugates(group: FiniteGroup, image: set, rep: tuple):
     """(g, g^-1 rep g) for each coset g.image fixed by every entry of rep.
 
-    image is the index set of a subgroup; g is the least index of its coset.
-    A coset is fixed exactly when conjugating rep by g lands in image.
+    image is the index set of a subgroup; g is the least index of its coset,
+    and the cosets come in ascending order of g.  A coset is fixed exactly
+    when conjugating rep by g lands in image.
     """
-    seen = set()
-    out = []
-    for g in range(group.order):
-        if g in seen:
-            continue
-        seen.update(group.mul(g, h) for h in image)
-        ginv = group.inverse(g)
-        conj = tuple(group.mul(group.mul(ginv, t), g) for t in rep)
-        if all(x in image for x in conj):
-            out.append((g, conj))
-    return out
+    reps, inside = _cosets(group, image)
+    table = group.table
+    conj = np.array([table[table[group.inv[reps], t], reps] for t in rep], dtype=np.intp)
+    conj = conj.reshape(len(rep), len(reps)).T  # row i: rep conjugated by reps[i]
+    fixed = inside[conj].all(axis=1)
+    return [(g, tuple(c)) for g, c in zip(reps[fixed].tolist(), conj[fixed].tolist())]
+
+
+def _cosets(group: FiniteGroup, image):
+    """(least index of each left coset g.image, ascending; membership mask of image).
+
+    Built once per (group, image) from the gathers table[g, image].
+    """
+    key = frozenset(image)
+    if key not in group._cosets:
+        inside = np.zeros(group.order, dtype=bool)
+        inside[list(key)] = True
+        image = np.flatnonzero(inside)
+        covered = np.zeros(group.order, dtype=bool)
+        reps = []
+        for g in range(group.order):
+            if not covered[g]:
+                covered[group.table[g, image]] = True
+                reps.append(g)
+        group._cosets[key] = (np.array(reps, dtype=np.intp), inside)
+    return group._cosets[key]
 
 
 def fixed_cosets(group: FiniteGroup, subgroup: Subgroup, alpha: TupleClass):

@@ -477,6 +477,47 @@ def test_listing_above_cap_exits_3(argv, message, capsys):
     assert (code, out, err) == (3, "", message)
 
 
+def test_tuple_classes_above_cap_exit_3(capsys):
+    # wr(wr(S2,2),3) has order 3072 and 193292 tuple classes at n = 3; the
+    # walk stops at the cap, where an exhaustive one ran for minutes
+    start = time.perf_counter()
+    code, out, err = run(
+        ["enumerate", "--kind", "wreath-classes", "--group", "wr(S2,2)", "--m", "3",
+         "--n", "3"], capsys,
+    )
+    assert time.perf_counter() - start < 60
+    assert (code, out) == (3, "")
+    assert err == ("error: n = 3: more than LISTING_CAP = 100000 tuple classes "
+                   "in wr(wr(S2,2),3)\n")
+
+
+def test_tuple_classes_below_cap_are_listed(capsys):
+    code, out, _ = run(
+        ["enumerate", "--kind", "wreath-classes", "--group", "wr(S2,2)", "--m", "3",
+         "--n", "2", "--format", "csv"], capsys,
+    )
+    assert code == 0
+    assert out.startswith("index,rep\ncount,3476\n")
+    assert out.count("\n") == 2 + 3476
+
+
+def test_deep_tuple_of_a_trivial_group_is_listed(capsys):
+    code, out, _ = run(["enumerate", "--kind", "hom-classes", "--group", "S1",
+                        "--n", "2000", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == "index,rep\ncount,1\n0," + " ".join(["0"] * 2000) + "\n"
+
+
+def test_large_cyclic_group_lists_quickly(capsys):
+    # element orders by one power loop over all 4096 elements at once
+    start = time.perf_counter()
+    code, out, _ = run(["enumerate", "--kind", "hom-classes", "--group", "C4096",
+                        "--n", "1"], capsys)
+    assert time.perf_counter() - start < 20
+    assert code == 0
+    assert json.loads(out)["count"] == 4096
+
+
 # n = 2, level = 2 at p = 2: a table of (2^2)^(2*2) = 256 entries, indices 0..255
 @pytest.mark.parametrize(
     "argv, shown",

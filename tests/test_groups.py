@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from charpow.errors import (
     GroupTooLargeError,
+    ListingTooLargeError,
     NotAHomomorphismError,
     NotASubgroupError,
     NotPPowerTupleError,
@@ -22,9 +23,11 @@ from charpow.groups import (
     TupleClass,
     abelian_subgroups,
     build_group,
+    canonical_tuple,
     delta_embed,
     diagonal_wreath_hom,
     enumerate_hom_classes,
+    fixed_coset_conjugates,
     fixed_cosets,
     include_left_factor,
     precompose,
@@ -163,6 +166,53 @@ def test_table_matches_label_multiplication(spec):
     assert list(g.elements) == elements
     assert g.table.dtype == np.uint16
     assert (g.table == _closure_table(elements, mul)).all()
+
+
+def _searchsorted_perm_table(perms):
+    """Oracle: the composition table read by one binary search per row."""
+    n, m = perms.shape
+    weights = m ** np.arange(m - 1, -1, -1)
+    keys = perms.dot(weights)
+    return np.array([np.searchsorted(keys, perms[a][perms].dot(weights)) for a in range(n)])
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_perm_table_matches_searchsorted(m):
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp, ndmin=2)
+    table = groups_module._perm_table(perms)
+    assert table.dtype == np.uint16
+    assert (table == _searchsorted_perm_table(perms)).all()
+
+
+def _loop_orders(group):
+    """Oracle: each element's order by repeated multiplication."""
+    out = []
+    for i in range(group.order):
+        k, acc = 1, i
+        while acc != group.identity:
+            acc, k = group.mul(acc, i), k + 1
+        out.append(k)
+    return out
+
+
+ORDER_SPECS = (
+    [f"S{m}" for m in range(1, 8)]
+    + [f"C{k}" for k in range(1, 65)]
+    + [s for s in TABLE_SPECS if not s[1:].isdecimal()]
+    + ["S2xS3", "wr(S2,3)", "wr(wr(S2,2),2)"]
+)
+
+
+def test_vectorized_orders_and_center_match_loops():
+    for spec in ORDER_SPECS:
+        g = build_group(spec)
+        orders = g.orders()
+        assert orders.tolist() == _loop_orders(g), spec
+        # the capped ranking of Light's test reads cap + 1 above the cap
+        capped = g._element_orders(3)
+        assert (capped == np.where(orders > 3, 4, orders)).all(), spec
+        if g.order <= 1000:  # the center, against every pair
+            assert (g._center_mask() == (g.table == g.table.T).all(axis=1)).all(), spec
 
 
 def test_subgroup_table_matches_label_multiplication():
@@ -371,6 +421,90 @@ def test_tuple_class_rejects_non_commuting():
         TupleClass(g, (t1, t2), 2)
 
 
+def _oracle_hom_classes(group, n, p):
+    """Oracle: walk every commuting p-power n-tuple, with the first entry taken
+    up to conjugacy, canonicalize each leaf, and sort."""
+    ppow = group.p_power_elements(p)
+    reps = sorted({canonical_tuple(group, (g,))[0] for g in ppow})
+    found = set()
+
+    def extend(prefix, commuting):
+        if len(prefix) == n:
+            found.add(canonical_tuple(group, prefix))
+            return
+        candidates = np.array(commuting, dtype=np.intp)
+        for g in reps if not prefix else commuting:
+            mask = group.table[g, candidates] == group.table[candidates, g]
+            extend(prefix + (g,), candidates[mask].tolist())
+
+    extend((), ppow)
+    return tuple(sorted(found))
+
+
+HOM_CLASS_CASES = (
+    [(spec, n, 2) for spec in [f"S{m}" for m in range(1, 7)]
+     + ["C2xC2", "C4", "S2xS3", "wr(S2,2)", "wr(S2,3)", "wr(C2xC2,2)", "wr(C2,4)"]
+     for n in (1, 2, 3)]
+    + [("S7", 2, 2), ("S6", 2, 3), ("C3xS3", 3, 3), ("wr(C3,2)", 2, 3)]
+)
+
+
+@pytest.mark.parametrize("spec, n, p", HOM_CLASS_CASES)
+def test_hom_classes_match_exhaustive_oracle(spec, n, p):
+    g = build_group(spec)
+    classes = enumerate_hom_classes(g, n, p)
+    assert tuple(c.rep for c in classes) == _oracle_hom_classes(g, n, p)
+    for c in classes:
+        assert canonical_tuple(g, c.rep) == c.rep
+        assert all(type(x) is int for x in c.rep)
+        assert (c.group, c.p, c.n) == (g, p, n)
+
+
+def test_hom_classes_above_listing_cap_are_refused(monkeypatch):
+    s4 = build_group("S4")
+    g = FiniteGroup("uncached S4", s4.elements, s4.table)  # 71 classes at n = 3
+    monkeypatch.setattr(groups_module, "LISTING_CAP", 70)
+    with pytest.raises(ListingTooLargeError, match=r"^n = 3: more than LISTING_CAP = 70 "):
+        enumerate_hom_classes(g, 3, 2)
+    assert (3, 2) not in g._hom_classes
+    monkeypatch.setattr(groups_module, "LISTING_CAP", 71)
+    assert len(enumerate_hom_classes(g, 3, 2)) == 71
+
+
+def test_hom_classes_at_large_n():
+    # a p-free group has one class at every n, reached without recursion
+    for spec, n in (("S1", 5000), ("C3", 3000)):
+        (only,) = enumerate_hom_classes(build_group(spec), n, 2)
+        assert only.rep == (0,) * n
+    with pytest.raises(ListingTooLargeError, match=r"^n = 100001: a tuple of more than LISTING_CAP"):
+        enumerate_hom_classes(build_group("S1"), 100_001, 2)
+    # C2 has 2^n classes: 2^16 are listed, 2^17 pass the cap during the
+    # walk, and from n = 18 on 2^n > LISTING_CAP * |C2| refuses before it
+    c2 = build_group("C2")
+    assert len(enumerate_hom_classes(c2, 16, 2)) == 2 ** 16
+    for n in (17, 18, 1000):
+        start = time.perf_counter()
+        with pytest.raises(ListingTooLargeError, match=f"^n = {n}: more than LISTING_CAP"):
+            enumerate_hom_classes(c2, n, 2)
+        assert n == 17 or time.perf_counter() - start < 1
+
+
+def test_public_tuple_class_canonicalizes_and_checks():
+    g = build_group("S4")
+    x = g.index[(3, 2, 1, 0)]
+    for c in enumerate_hom_classes(g, 2, 2):
+        conj = tuple(g.conjugate(x, e) for e in c.rep)
+        assert TupleClass(g, conj, 2) == c
+        assert TupleClass(g, np.array(conj), 2).rep == c.rep
+    four_cycle = g.index[(1, 2, 3, 0)]
+    three_cycle = g.index[(1, 2, 0, 3)]
+    swap = g.index[(1, 0, 2, 3)]
+    with pytest.raises(NotPPowerTupleError, match="has order 3"):
+        TupleClass(g, (four_cycle, three_cycle), 2)
+    with pytest.raises(NotPPowerTupleError, match="do not commute"):
+        TupleClass(g, (four_cycle, swap), 2)
+
+
 def test_precompose_identity_and_kill():
     g = build_group("C2")
     alpha = TupleClass(g, (1,), 2)
@@ -459,6 +593,33 @@ def test_fixed_cosets_image_lands_in_subgroup():
         inv = g.inverse(rep)
         for e in alpha.rep:
             assert g.mul(g.mul(inv, e), rep) in set(sub_elems.indices)
+
+
+def _oracle_fixed_coset_conjugates(group, image, rep):
+    """Oracle: scan every element, build its coset by products, conjugate rep."""
+    seen, out = set(), []
+    for g in range(group.order):
+        if g in seen:
+            continue
+        seen.update(group.mul(g, h) for h in image)
+        ginv = group.inverse(g)
+        conj = tuple(group.mul(group.mul(ginv, t), g) for t in rep)
+        if all(x in image for x in conj):
+            out.append((g, conj))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "C4", "S2xS3", "wr(S2,2)", "wr(C2,3)"])
+def test_fixed_coset_conjugates_match_scan_oracle(spec):
+    g = build_group(spec)
+    subgroups = list(abelian_subgroups(g)) + [Subgroup(g, tuple(range(g.order)))]
+    for sub in subgroups:
+        image = set(sub.indices)
+        for n in (1, 2):
+            for c in enumerate_hom_classes(g, n, 2):
+                expected = _oracle_fixed_coset_conjugates(g, image, c.rep)
+                assert fixed_coset_conjugates(g, image, c.rep) == expected
+                assert fixed_cosets(g, sub, c) == tuple(x for x, _ in expected)
 
 
 def test_subgroup_validation():
