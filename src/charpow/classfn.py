@@ -839,11 +839,6 @@ def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
 # serialization
 
 
-def _parse_fraction(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
 def _fraction_strings(val: C0Element) -> list:
     """Each entry as "num/den" in lowest terms, with one gcd pass over the table."""
     arr = _tier(val._arr, max(val._bits, val.den.bit_length()))
@@ -864,12 +859,31 @@ def to_json_dict(f: ClassFunction) -> dict:
     }
 
 
+def _parse_table(p, n, level, rep, strings) -> C0Element:
+    """The table of "num/den" strings as integer numerators over their lcm.
+
+    A malformed entry or a zero denominator raises a ValueError naming the
+    class rep and the entry index.
+    """
+    nums, dens = [], []
+    for i, s in enumerate(strings):
+        try:
+            num, den = map(int, s.split("/"))
+        except (AttributeError, ValueError):
+            raise ValueError(f"class {list(rep)}: value entry {i} = {s!r} is not num/den") from None
+        if den == 0:
+            raise ValueError(f"class {list(rep)}: value entry {i} = {s!r} has denominator 0")
+        nums.append(num)
+        dens.append(den)
+    den = math.lcm(*dens)
+    return C0Element(p, n, level, [x * (den // d) for x, d in zip(nums, dens)], den)
+
+
 def from_json_dict(data: dict) -> ClassFunction:
     group = build_group(data["group"])
     p, n, level = int(data["p"]), int(data["n"]), int(data["level"])
-    values = {
-        tuple(int(x) for x in entry["rep"]):
-            C0Element(p, n, level, tuple(map(_parse_fraction, entry["value"])))
-        for entry in data["classes"]
-    }
+    values = {}
+    for entry in data["classes"]:
+        rep = tuple(int(x) for x in entry["rep"])
+        values[rep] = _parse_table(p, n, level, rep, entry["value"])
     return ClassFunction(group, p, n, level, values)

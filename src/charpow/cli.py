@@ -41,7 +41,7 @@ from .groups import (
 )
 from .isogeny import canonical_section, random_section
 from .lattice import is_prime
-from .torsion import enumerate_subgroups, enumerate_sums, max_subgroup_exponent
+from .torsion import enumerate_subgroups, max_subgroup_exponent, sum_index_tuples
 from .verify import VerifyConfig, run_suites
 
 EXIT_VERIFY_FAILED = 1
@@ -55,12 +55,13 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out_path):
+def _emit(out_path, *texts: str):
+    """Write the texts, one after another, to out_path or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _csv_text(header_record, rows) -> str:
@@ -104,13 +105,18 @@ def cmd_enumerate(args) -> int:
         item = lambda h: {"matrix": h.matrix, "order": h.order}
         row = lambda h: (h.order, _matrix_cell(h.matrix))
     elif args.kind == "sums":
-        listing = enumerate_sums(args.p, args.n, args.m)
+        # index tuples into one subgroup list, whose text is made once per subgroup;
+        # every sum has total m
+        subgroups, listing = sum_index_tuples(args.p, args.n, args.m)
         meta["m"] = args.m
         header = ("index", "total", "summands")
-        item = lambda s: {"total": s.total,
-                          "summands": [h.matrix for h in s.summands]}
-        row = lambda s: (s.total,
-                         "|".join(_matrix_cell(h.matrix) for h in s.summands))
+        if args.format == "json":
+            texts = [json.dumps(h.matrix, separators=(",", ":")) for h in subgroups]
+            item = lambda t: (f'{{"summands":[{",".join(map(texts.__getitem__, t))}],'
+                              f'"total":{args.m}}}')
+        else:
+            cells = [_matrix_cell(h.matrix) for h in subgroups]
+            row = lambda t: (args.m, "|".join(map(cells.__getitem__, t)))
     elif args.kind == "hom-classes":
         group = build_group(args.group)
         listing = enumerate_hom_classes(group, args.n, args.p)
@@ -131,13 +137,17 @@ def cmd_enumerate(args) -> int:
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     if args.format == "json":
-        items = [item(x) for x in listing]
-        payload = {"kind": args.kind, **meta, "count": len(items), "items": items}
-        _emit(_canonical_json(payload), args.out)
+        payload = {"kind": args.kind, **meta, "count": len(listing), "items": None}
+        if args.kind == "sums":  # items are JSON text already: splice them in
+            head, tail = _canonical_json(payload).split('"items":null')
+            _emit(args.out, head, '"items":[', ",".join(map(item, listing)), "]", tail)
+        else:
+            payload["items"] = [item(x) for x in listing]
+            _emit(args.out, _canonical_json(payload))
     else:
         rows = [("count", len(listing), *[""] * (len(header) - 2))]
         rows += [(i, *row(x)) for i, x in enumerate(listing)]
-        _emit(_csv_text(header, rows), args.out)
+        _emit(args.out, _csv_text(header, rows))
     return 0
 
 
@@ -171,7 +181,7 @@ def cmd_powerop(args) -> int:
             args.generator, build_group(args.group), args.p, args.n, args.level
         )
     op = total_power_op if args.total else power_op
-    _emit(_canonical_json(to_json_dict(op(f, args.m, section))), args.out)
+    _emit(args.out, _canonical_json(to_json_dict(op(f, args.m, section))))
     return 0
 
 
@@ -195,7 +205,7 @@ def cmd_verify(args) -> int:
     lines.append(
         f"{len(results) - failures}/{len(results)} properties passed"
     )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_VERIFY_FAILED if failures else 0
 
 

@@ -20,7 +20,7 @@ class RationalCoefficients:
         self.p = p
 
     def convert(self, x):
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     def is_unit(self, x) -> bool:
         x = Fraction(x)
@@ -86,11 +86,12 @@ class TruncatedPoly:
     @staticmethod
     def make(ring, nvars, trunc, coeffs: dict) -> "TruncatedPoly":
         clean = {}
+        zero = ring.convert(0)
         for exps, c in coeffs.items():
             if sum(exps) > trunc:
                 continue
             c = ring.convert(c)
-            if c != ring.convert(0):
+            if c != zero:
                 clean[tuple(exps)] = c
         return TruncatedPoly(ring, nvars, trunc, tuple(sorted(clean.items())))
 
@@ -125,10 +126,11 @@ class TruncatedPoly:
 
     def mul(self, other: "TruncatedPoly") -> "TruncatedPoly":
         out = {}
+        terms = [(e2, c2, sum(e2)) for e2, c2 in other.coeffs]
         for e1, c1 in self.coeffs:
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs:
-                if d1 + sum(e2) > self.trunc:
+            room = self.trunc - sum(e1)
+            for e2, c2, d2 in terms:
+                if d2 > room:
                     continue
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2

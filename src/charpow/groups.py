@@ -126,16 +126,16 @@ class FiniteGroup:
             frontier = np.flatnonzero(reached ^ before)
         return reached
 
-    def _element_orders(self, cap=None):
-        """Order of every element, from powers taken for all elements at once.
+    def _element_orders(self, cap):
+        """Order of every element up to cap, from powers taken for all elements at once.
 
-        With a cap, at most cap powers are taken and larger orders read
-        cap + 1, so a table that is not yet known to be a group still ends.
+        At most cap powers are taken and larger orders read cap + 1, so a
+        table that is not yet known to be a group still ends.
         """
-        out = np.full(self.order, 0 if cap is None else cap + 1, dtype=np.int64)
+        out = np.full(self.order, cap + 1, dtype=np.int64)
         live = power = np.arange(self.order)  # power is x^k for each live x
         k = 1
-        while live.size and (cap is None or k <= cap):
+        while live.size and k <= cap:
             done = power == self.identity
             out[live[done]] = k
             live, power = live[~done], power[~done]
@@ -157,9 +157,30 @@ class FiniteGroup:
         return int(self.table[self.table[x, g], self.inv[x]])
 
     def orders(self):
+        """Order of every element, by divisor tests on |G|.
+
+        Every order divides |G|.  Starting from d = |G|, each prime r of |G|
+        divides d for as long as x^(d/r) is the identity, which leaves d the
+        order of x: O(log^2 |G|) table gathers in all.
+        """
         if self._orders is None:
-            self._orders = self._element_orders()
+            d = np.full(self.order, self.order, dtype=np.int64)
+            for r in _prime_factors(self.order):
+                trial = np.where(d % r == 0, d // r, d)
+                d = np.where(self._powers(trial) == self.identity, trial, d)
+            self._orders = d
         return self._orders
+
+    def _powers(self, exps):
+        """x^exps[x] for every element x, by repeated squaring with table gathers."""
+        acc = np.full(self.order, self.identity, dtype=np.intp)
+        base = np.arange(self.order)
+        while exps.any():
+            odd = (exps & 1) == 1
+            acc[odd] = self.table[acc[odd], base[odd]]
+            base = self.table[base, base]
+            exps = exps >> 1
+        return acc
 
     def power(self, i: int, e: int) -> int:
         e %= int(self.orders()[i])
@@ -265,19 +286,35 @@ def _check_order(name, factors):
             raise GroupTooLargeError(f"group {name} has order above ORDER_CAP = {ORDER_CAP}")
 
 
+def _prime_factors(k: int) -> list:
+    """The primes of k, each as often as it divides k."""
+    out, r = [], 2
+    while r * r <= k:
+        while k % r == 0:
+            out.append(r)
+            k //= r
+        r += 1
+    return out + [k] * (k > 1)
+
+
 def _perm_table(perms):
     """Composition table (s t)(i) = s(t(i)) of lexicographically sorted permutations.
 
     A permutation's base-m digits are its entries, so its key ranks it; a
-    dense key -> index array of m^m entries (823543 for S7) reads each row.
+    dense key -> index array of m^m entries (823543 for S7) reads the rows.
+    The key of s t is sum_i w_i s(t(i)) = s . u_t with u_t(j) = w_(t^-1(j)),
+    so a block of rows is one integer matrix product, at most _CHECK_BLOCK
+    keys at a time.
     """
     n, m = perms.shape
     weights = m ** np.arange(m - 1, -1, -1)
     rank = np.zeros(m ** m, dtype=np.uint16)
     rank[perms.dot(weights)] = np.arange(n)
+    u = weights[np.argsort(perms, axis=1)].T  # column t is u_t
     table = np.empty((n, n), dtype=np.uint16)
-    for a in range(n):
-        table[a] = rank[perms[a][perms].dot(weights)]
+    rows = max(1, _CHECK_BLOCK // n)
+    for a in range(0, n, rows):
+        table[a:a + rows] = rank[perms[a:a + rows] @ u]
     return table
 
 

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import ListingTooLargeError, SingularMatrixError
 from .lattice import (
@@ -36,6 +37,7 @@ from .lattice import (
 )
 
 LISTING_CAP = 100_000  # most subgroups, sums, or summands of one sum a listing holds
+_SORT_KEY = attrgetter("order", "matrix")  # the canonical order of subgroups
 
 
 @dataclass(frozen=True, order=True)
@@ -71,7 +73,7 @@ class TorsionSubgroup:
         return tuple(tuple(x - (x // 1) for x in col) for col in cols)
 
     def sort_key(self):
-        return (self.order, self.matrix)
+        return _SORT_KEY(self)
 
 
 def trivial_subgroup(p: int, n: int) -> TorsionSubgroup:
@@ -208,7 +210,7 @@ class SumOfSubgroups:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "summands", tuple(sorted(self.summands, key=lambda h: h.sort_key()))
+            self, "summands", tuple(sorted(self.summands, key=_SORT_KEY))
         )
 
     @property
@@ -256,8 +258,15 @@ def _sum_count(p: int, n: int, m: int) -> int:
     return ways(m, len(counts) - 1)
 
 
-def enumerate_sums(p: int, n: int, m: int):
-    """All formal sums of subgroups with orders adding up to m, canonically ordered."""
+def sum_index_tuples(p: int, n: int, m: int):
+    """The sums with orders adding up to m, as index tuples into one subgroup list.
+
+    Returns (subgroups, tuples).  subgroups lists every subgroup of order p^e
+    for p^e <= m, ascending in (order, matrix); each tuple names one sum's
+    summands by their positions there, ascending, and the tuples come in the
+    canonical order of the sums.  Positions order subgroups as sort_key does,
+    so a plain sort of the tuples orders the sums.
+    """
     if m > LISTING_CAP:
         raise ListingTooLargeError(
             f"m = {m}: the sum of m trivial subgroups has more than "
@@ -265,27 +274,29 @@ def enumerate_sums(p: int, n: int, m: int):
         )
     if _sum_count(p, n, m) > LISTING_CAP:
         raise ListingTooLargeError(f"m = {m}: more than LISTING_CAP = {LISTING_CAP} sums")
-    by_order = {p ** e: enumerate_subgroups(p, n, e)
-                for e in range(max_subgroup_exponent(p, m) + 1)}
-    powers = list(by_order)
+    subgroups, ranges = [], []
+    for e in range(max_subgroup_exponent(p, m) + 1):
+        start = len(subgroups)
+        subgroups += enumerate_subgroups(p, n, e)
+        ranges.append(range(start, len(subgroups)))
+    tuples = []
 
-    sums = []
-
-    def parts(remaining, max_q, chosen):
-        if remaining == 0:
-            pools = [
-                itertools.combinations_with_replacement(by_order[q], c)
-                for q, c in chosen
-            ]
-            for combo in itertools.product(*pools):
-                sums.append(SumOfSubgroups(tuple(itertools.chain(*combo))))
+    def place(remaining, e, pools):
+        """Place the summands of order at most p^e; pools hold the larger ones, ascending."""
+        choices = lambda c: tuple(itertools.combinations_with_replacement(ranges[e], c))
+        if e == 0:
+            for combo in itertools.product(choices(remaining), *pools):
+                tuples.append(tuple(itertools.chain.from_iterable(combo)))
             return
-        for q in reversed(powers):
-            if q > max_q or q > remaining:
-                continue
-            for c in range(remaining // q, 0, -1):
-                parts(remaining - c * q, q // p, chosen + [(q, c)])
+        for c in range(remaining // p ** e + 1):
+            place(remaining - c * p ** e, e - 1, [choices(c)] + pools)
 
-    parts(m, m, [])
-    sums.sort(key=lambda s: s.sort_key())
-    return tuple(sums)
+    place(m, len(ranges) - 1, [])
+    tuples.sort()
+    return tuple(subgroups), tuple(tuples)
+
+
+def enumerate_sums(p: int, n: int, m: int):
+    """All formal sums of subgroups with orders adding up to m, canonically ordered."""
+    subgroups, tuples = sum_index_tuples(p, n, m)
+    return tuple(SumOfSubgroups(tuple(map(subgroups.__getitem__, t))) for t in tuples)

@@ -1055,6 +1055,46 @@ def test_serialization_roundtrip(s3, section):
     assert from_json_dict(json.loads(blob2)) == p2
 
 
+def _parse_fraction(s: str) -> Fraction:
+    """Oracle: one entry of a JSON table, parsed through Fraction."""
+    num, den = s.split("/")
+    return Fraction(int(num), int(den))
+
+
+def _oracle_from_json_dict(data):
+    return ClassFunction(
+        build_group(data["group"]), data["p"], data["n"], data["level"],
+        {tuple(e["rep"]): C0Element(data["p"], data["n"], data["level"],
+                                    tuple(map(_parse_fraction, e["value"])))
+         for e in data["classes"]},
+    )
+
+
+def test_from_json_dict_matches_fraction_oracle(s3):
+    # every entry form int() and the oracle accept: unreduced, negative or
+    # signed denominators, spaces, zeros, and entries past int64
+    forms = [
+        lambda a, b: f"{a}/{b}",
+        lambda a, b: f"{3 * a}/{3 * b}",
+        lambda a, b: f"{-a}/{-b}",
+        lambda a, b: f" +{a}/{b} " if a >= 0 else f"{a}/+{b}",
+        lambda a, b: f"{a * 2 ** 70}/{b * 2 ** 70}",
+    ]
+    f = random_class_function(s3, P, N, LEVEL, seed=23)
+    data = to_json_dict(f)
+    for k, entry in enumerate(data["classes"]):
+        values = []
+        for j, x in enumerate(entry["value"]):
+            a, b = map(int, x.split("/"))
+            values.append(forms[(j + k) % len(forms)](a, b))
+        entry["value"] = values
+    data["classes"][0]["value"][:3] = ["0/7", f"{2 ** 80}/3", f"-1/{2 ** 66}"]
+    got = from_json_dict(data)
+    assert got == _oracle_from_json_dict(data)
+    assert to_json_dict(got) == to_json_dict(_oracle_from_json_dict(data))
+    assert from_json_dict(to_json_dict(f)) == f == _oracle_from_json_dict(to_json_dict(f))
+
+
 # ---------------------------------------------------------------------------
 # every shared check of charpow.verify returns False on a known-bad instance;
 # section_independent's is test_section_dependence_without_invariance

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from charpow import cli, torsion
 from charpow.cli import main
 from charpow.classfn import TABLE_CAP
-from charpow.classfn import from_json_dict, power_op, to_json_dict
+from charpow.classfn import from_json_dict, power_op, random_class_function, to_json_dict
 from charpow.groups import build_group
 from charpow.isogeny import random_section
+from charpow.torsion import enumerate_sums
 
 
 def run(argv, capsys):
@@ -541,3 +543,94 @@ def test_delta_at_either_end_of_the_table_exits_0(t, capsys):
     code, out, err = run(["powerop", "--m", "2", "--generator", f"delta:{t}"], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["classes"]
+
+
+# the sums listing, written from per-subgroup text over index tuples
+
+SUM_LISTINGS = [(p, n, m) for p in (2, 3) for n in (1, 2, 3) for m in range(6)] + [
+    (2, 1, 79), (2, 2, 19), (2, 3, 11), (3, 1, 167), (3, 2, 29), (3, 3, 14),
+]
+
+
+def _oracle_sums_text(p, n, m, fmt):
+    """Oracle: the listing of SumOfSubgroups items through the dict -> _canonical_json
+    and row -> _csv_text paths."""
+    sums = enumerate_sums(p, n, m)
+    if fmt == "json":
+        items = [{"total": s.total, "summands": [h.matrix for h in s.summands]} for s in sums]
+        payload = {"kind": "sums", "p": p, "n": n, "m": m, "count": len(items), "items": items}
+        return cli._canonical_json(payload)
+    rows = [("count", len(sums), "")] + [
+        (i, s.total, "|".join(cli._matrix_cell(h.matrix) for h in s.summands))
+        for i, s in enumerate(sums)
+    ]
+    return cli._csv_text(("index", "total", "summands"), rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sums_listing_matches_item_oracle(fmt, capsys):
+    for p, n, m in SUM_LISTINGS:
+        argv = ["enumerate", "--kind", "sums", "--p", str(p), "--n", str(n), "--m", str(m)]
+        code, out, _ = run(argv + ["--format", fmt], capsys)
+        assert code == 0 and out == _oracle_sums_text(p, n, m, fmt), (p, n, m)
+
+
+def test_sums_listing_of_m_0_and_1_holds_one_sum(capsys):
+    _, out, _ = run(["enumerate", "--kind", "sums", "--m", "0"], capsys)
+    assert out == '{"count":1,"items":[{"summands":[],"total":0}],"kind":"sums","m":0,"n":2,"p":2}\n'
+    _, out, _ = run(["enumerate", "--kind", "sums", "--m", "1", "--format", "csv"], capsys)
+    assert out == "index,total,summands\ncount,1,\n0,1,1 0;0 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_empty_sums_listing_matches_item_oracle(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sum_index_tuples", lambda p, n, m: ((), ()))
+    code, out, _ = run(["enumerate", "--kind", "sums", "--m", "3", "--format", fmt], capsys)
+    if fmt == "json":
+        want = cli._canonical_json(
+            {"kind": "sums", "p": 2, "n": 2, "m": 3, "count": 0, "items": []})
+    else:
+        want = cli._csv_text(("index", "total", "summands"), [("count", 0, "")])
+    assert code == 0 and out == want
+
+
+def test_sums_listing_builds_no_sum(monkeypatch, capsys):
+    def no_sum(summands):
+        raise AssertionError("the listing built a SumOfSubgroups")
+
+    monkeypatch.setattr(torsion, "SumOfSubgroups", no_sum)
+    for fmt in ("json", "csv"):
+        code, _, _ = run(["enumerate", "--kind", "sums", "--m", "4", "--format", fmt], capsys)
+        assert code == 0
+
+
+@pytest.mark.parametrize("m", ["40", str(torsion.LISTING_CAP + 1)])
+def test_sums_above_cap_exit_3_before_any_subgroup_is_listed(m, monkeypatch, capsys):
+    listed = []
+    monkeypatch.setattr(torsion, "enumerate_subgroups", lambda *args: listed.append(args))
+    code, out, err = run(["enumerate", "--kind", "sums", "--n", "3", "--m", m], capsys)
+    assert (code, out, listed) == (3, "", [])
+    assert err.startswith(f"error: m = {m}: ") and "LISTING_CAP = 100000" in err
+
+
+# class function input files
+
+def _write_input(tmp_path, value):
+    data = to_json_dict(random_class_function(build_group("C2"), 2, 2, 2, seed=3))
+    data["classes"][1]["value"][5] = value
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(data))
+    return src, data["classes"][1]["rep"]
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [("1/0", "has denominator 0"), ("-3/0", "has denominator 0"), ("1", "is not num/den"),
+     ("1/2/3", "is not num/den"), ("a/b", "is not num/den"), ("", "is not num/den"),
+     (7, "is not num/den"), (None, "is not num/den")],
+)
+def test_powerop_bad_input_entry_exits_2_naming_class_and_index(tmp_path, value, reason, capsys):
+    src, rep = _write_input(tmp_path, value)
+    code, out, err = run(["powerop", "--input", str(src), "--m", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: class {rep}: value entry 5 = {value!r} {reason}\n"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import time
 
@@ -213,6 +214,17 @@ def test_vectorized_orders_and_center_match_loops():
         assert (capped == np.where(orders > 3, 4, orders)).all(), spec
         if g.order <= 1000:  # the center, against every pair
             assert (g._center_mask() == (g.table == g.table.T).all(axis=1)).all(), spec
+
+
+@pytest.mark.parametrize("k", [4093, 4096, 5040])
+def test_orders_of_large_cyclic_groups_by_divisor_tests(k):
+    # the order of i in C_k is k / gcd(i, k); a prime k is the worst case for
+    # one power per step, which took 3.3 s on C9973
+    g = build_group(f"C{k}")
+    start = time.perf_counter()
+    orders = g.orders()
+    assert time.perf_counter() - start < 1
+    assert orders.tolist() == [k // math.gcd(i, k) for i in range(k)]
 
 
 def test_subgroup_table_matches_label_multiplication():

@@ -303,3 +303,79 @@ def test_sums_above_cap_are_refused_before_any_is_built(monkeypatch):
 def test_sums_below_cap_are_listed():
     assert torsion.LISTING_CAP == 100_000
     assert len(enumerate_sums(2, 3, 12)) == 54721
+
+
+# sums as index tuples over one ordered subgroup list
+
+
+def _oracle_sums(p, n, m):
+    """Oracle: every sum built by the public constructor, then sorted by sort_key."""
+    by_order = {p ** e: enumerate_subgroups(p, n, e)
+                for e in range(torsion.max_subgroup_exponent(p, m) + 1)}
+    powers = list(by_order)
+    sums = []
+
+    def parts(remaining, max_q, chosen):
+        if remaining == 0:
+            pools = [itertools.combinations_with_replacement(by_order[q], c) for q, c in chosen]
+            for combo in itertools.product(*pools):
+                sums.append(SumOfSubgroups(tuple(itertools.chain(*combo))))
+            return
+        for q in reversed(powers):
+            if q > max_q or q > remaining:
+                continue
+            for c in range(remaining // q, 0, -1):
+                parts(remaining - c * q, q // p, chosen + [(q, c)])
+
+    parts(m, m, [])
+    sums.sort(key=lambda s: s.sort_key())
+    return sums
+
+
+def sum_grid(max_sums=20_000, max_work=300_000, small_total=5_000):
+    """(p, n, m) for p in {2, 3} and n in {1, 2, 3}: every m = 0, 1, ... while the
+    listings of one (p, n) hold at most small_total sums in all, then the
+    largest m whose listing holds at most max_sums sums and m * sums at most
+    max_work (a sum of m has up to m summands; at n = 1 that bounds m near 60,
+    not 350)."""
+    for p, n in itertools.product((2, 3), (1, 2, 3)):
+        m = total = 0
+        while (count := torsion._sum_count(p, n, m)) <= max_sums and m * count <= max_work:
+            if total + count <= small_total:
+                yield p, n, m
+                total += count
+            top = m
+            m += 1
+        if total + count > small_total:
+            yield p, n, top
+
+
+def test_sum_grid_covers_small_and_large_listings():
+    tops = {(p, n): torsion._sum_count(p, n, m) for p, n, m in sum_grid()}
+    assert len(tops) == 6 and min(tops.values()) > 1_500 and max(tops.values()) > 10_000
+    assert {m for _, _, m in sum_grid()} >= {0, 1}
+
+
+def test_sums_match_sort_key_oracle():
+    for p, n, m in sum_grid():
+        sums = enumerate_sums(p, n, m)
+        assert list(sums) == _oracle_sums(p, n, m), (p, n, m)
+
+
+def test_sum_index_tuples_name_the_listing():
+    for p, n, m in [(2, 2, 6), (3, 2, 4), (2, 3, 5), (2, 1, 9), (2, 2, 0)]:
+        subgroups, tuples = torsion.sum_index_tuples(p, n, m)
+        assert list(subgroups) == sorted(subgroups, key=lambda h: h.sort_key())
+        assert {h.order for h in subgroups} == {p ** e for e in range(torsion.max_subgroup_exponent(p, m) + 1)}
+        assert list(tuples) == sorted(set(tuples))
+        assert all(list(t) == sorted(t) for t in tuples)
+        sums = enumerate_sums(p, n, m)
+        assert [tuple(subgroups[i] for i in t) for t in tuples] == [s.summands for s in sums]
+
+
+def test_listed_sums_equal_and_hash_like_constructed_ones():
+    for p, n, m in [(2, 2, 6), (3, 2, 4), (2, 3, 4)]:
+        for s in enumerate_sums(p, n, m):
+            built = SumOfSubgroups(tuple(reversed(s.summands)))
+            assert built == s and hash(built) == hash(s)
+            assert built.summands == s.summands and s.total == m
