@@ -33,7 +33,6 @@ from .torsion import (
     enumerate_subgroups,
     enumerate_sums,
     image_subgroup,
-    trivial_subgroup,
 )
 from .isogeny import (
     Isogeny,
@@ -56,7 +55,6 @@ from .groups import (
     decorated_to_wreath_class,
     delta_embed,
     enumerate_hom_classes,
-    fixed_cosets,
     precompose,
     sum_to_symm_class,
     symm_class_to_sum,

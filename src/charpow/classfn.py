@@ -69,14 +69,6 @@ def _table_size(p, n, level) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
-def matrix_space(p: int, level: int, n: int):
-    """All n x n matrices mod p^level, flattened row-major, lexicographic."""
-    _table_size(p, n, level)
-    mats = tuple(itertools.product(range(p ** level), repeat=n * n))
-    return mats, {m: i for i, m in enumerate(mats)}
-
-
 def _translation_perm(p, level, n, a_flat, on_left):
     """perm[t] = index of A . xi_t (on_left) or xi_t . A, mod p^level, as a read-only intp array.
 
@@ -378,9 +370,6 @@ class ClassFunction:
                 table[rep] = val
         self.values = dict(sorted(table.items()))
 
-    def classes(self):
-        return enumerate_hom_classes(self.group, self.n, self.p)
-
     def value_at(self, key) -> C0Element:
         if isinstance(key, TupleClass):
             rep = key.rep  # already canonical
@@ -447,6 +436,11 @@ def constant_value(group, p, n, level, c0: C0Element) -> ClassFunction:
 
 
 def indicator(cls: TupleClass, level: int, c0: C0Element = None) -> ClassFunction:
+    """The class function that is c0 (default 1) on cls and zero elsewhere.
+
+    Indicators of the tuple classes span the class functions; the transfer
+    ideal is tested on them.
+    """
     value = c0 if c0 is not None else c0_constant(cls.p, cls.n, level, 1)
     return ClassFunction(cls.group, cls.p, cls.n, level, {cls.rep: value})
 
@@ -493,7 +487,11 @@ def act_by_residue(f: ClassFunction, gbar) -> ClassFunction:
 
 
 def aut_act(f: ClassFunction, gamma: PAdicMatrix) -> ClassFunction:
-    """(f . gamma)([alpha]) = f([alpha gamma^T]) . gamma, for unimodular gamma."""
+    """(f . gamma)([alpha]) = f([alpha gamma^T]) . gamma, for unimodular gamma.
+
+    This is the action of Aut((Q_p/Z_p)^n) = GL_n(Z_p) on class functions;
+    the character map of Hopkins-Kuhn-Ravenel lands in its invariants.
+    """
     if gamma.p != f.p:
         raise LevelMismatchError("prime mismatch")
     if not gamma.is_automorphism():
@@ -798,7 +796,10 @@ class TransferIdeal:
     def contains(self, f: ClassFunction) -> bool:
         """Membership for a C0-valued function: every evaluation column must lie in the span.
 
-        Each key's table is read once; equal columns are checked once.
+        It carries the statement that an indicator lies in the transfer
+        ideal exactly when its class's sum of subgroups has more than one
+        summand.  Each key's table is read once; equal columns are checked
+        once.
         """
         if f.group is not self.group:
             raise ValueError("class function does not live on the ideal's group")
@@ -879,11 +880,32 @@ def _parse_table(p, n, level, rep, strings) -> C0Element:
     return C0Element(p, n, level, [x * (den // d) for x, d in zip(nums, dens)], den)
 
 
+def _json_field(value, kind, where):
+    """value, or a ValueError naming the field where unless it is of kind (dict, list or str)."""
+    if not isinstance(value, kind):
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ValueError(f"{where} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def _json_int(value, where):
+    """int(value), or a ValueError naming the field where."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} = {value!r} is not an integer") from None
+
+
 def from_json_dict(data: dict) -> ClassFunction:
-    group = build_group(data["group"])
-    p, n, level = int(data["p"]), int(data["n"]), int(data["level"])
+    _json_field(data, dict, "class function JSON")
+    group = build_group(_json_field(data["group"], str, "group"))
+    p, n, level = (_json_int(data[key], key) for key in ("p", "n", "level"))
     values = {}
-    for entry in data["classes"]:
-        rep = tuple(int(x) for x in entry["rep"])
-        values[rep] = _parse_table(p, n, level, rep, entry["value"])
+    for i, entry in enumerate(_json_field(data["classes"], list, "classes")):
+        where = f"classes[{i}]"
+        _json_field(entry, dict, where)
+        rep = _json_field(entry["rep"], list, f"{where}.rep")
+        rep = tuple(_json_int(x, f"{where}.rep") for x in rep)
+        strings = _json_field(entry["value"], list, f"{where}.value")
+        values[rep] = _parse_table(p, n, level, rep, strings)
     return ClassFunction(group, p, n, level, values)

@@ -16,9 +16,9 @@ import sys
 
 from .classfn import (
     ClassFunction,
-    c0_constant,
     c0_coordinate,
     c0_delta,
+    constant_one,
     constant_value,
     from_json_dict,
     power_op,
@@ -49,6 +49,14 @@ EXIT_BAD_SPEC = 2
 EXIT_TOO_LARGE = 3
 EXIT_LEVEL_MISMATCH = 4
 EXIT_SECTION_RANGE = 5
+
+# (exception types, exit code) in the order they are matched
+EXIT_CODES = (
+    ((GroupTooLargeError, ListingTooLargeError, TableTooLargeError), EXIT_TOO_LARGE),
+    ((LevelMismatchError,), EXIT_LEVEL_MISMATCH),
+    ((SectionOutOfRangeError,), EXIT_SECTION_RANGE),
+    ((ValueError, OSError, json.JSONDecodeError, KeyError, CharpowError), EXIT_BAD_SPEC),
+)
 
 
 def _canonical_json(obj) -> str:
@@ -153,7 +161,7 @@ def cmd_enumerate(args) -> int:
 
 def _builtin_generator(name: str, group, p, n, level) -> ClassFunction:
     if name == "one":
-        return constant_value(group, p, n, level, c0_constant(p, n, level, 1))
+        return constant_one(group, p, n, level)
     if name == "coord":
         return constant_value(group, p, n, level, c0_coordinate(p, n, level))
     if name.startswith("delta:"):
@@ -288,21 +296,9 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return args.func(args)
-    except (GroupTooLargeError, ListingTooLargeError, TableTooLargeError) as exc:
+    except tuple(t for types, _ in EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except LevelMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LEVEL_MISMATCH
-    except SectionOutOfRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SECTION_RANGE
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
-    except CharpowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

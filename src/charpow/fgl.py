@@ -70,10 +70,6 @@ class IntegersMod:
         return f"Z/{self.q}"
 
 
-def prime_field(p: int) -> IntegersMod:
-    return IntegersMod(p, 1)
-
-
 @dataclass(frozen=True)
 class TruncatedPoly:
     """Multivariate polynomial, exact modulo total degree > trunc."""
@@ -271,11 +267,6 @@ class FGL:
 def default_truncation(p: int, n: int) -> int:
     """Smallest degree window covering the p^2-series checks."""
     return p ** (2 * n) + 1
-
-
-def build_additive(ring, trunc: int) -> FGL:
-    law = TruncatedPoly.make(ring, 2, trunc, {(1, 0): 1, (0, 1): 1})
-    return FGL(ring, trunc, law, "additive")
 
 
 def build_multiplicative(ring, trunc: int) -> FGL:

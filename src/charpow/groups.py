@@ -38,8 +38,16 @@ from .torsion import (
 )
 
 ORDER_CAP = 10_000
-_CHECK_BLOCK = 1 << 18  # table entries per associativity comparison
-_RANK_STEPS = 64  # powers taken to rank candidate generators by order
+_CHECK_BLOCK = 1 << 18  # table entries per block of a table scan
+
+
+def _row_blocks(n):
+    """Slices of rows that cover an n-column table, about _CHECK_BLOCK entries each.
+
+    A scan block by block holds no transient as large as the table.
+    """
+    rows = max(1, _CHECK_BLOCK // max(n, 1))
+    return [slice(r, r + rows) for r in range(0, n, rows)]
 
 
 class FiniteGroup:
@@ -58,20 +66,23 @@ class FiniteGroup:
         self.table = table = np.asarray(table, dtype=np.uint16)
         if table.shape != (n, n):
             raise ValueError(f"group {name} has {n} elements but a {table.shape} table")
-        eye = np.arange(n)
-        ident = np.nonzero((table == eye).all(axis=1) & (table.T == eye).all(axis=1))[0]
+        eye, left = np.arange(n), np.zeros(n, dtype=bool)  # left: the left identities
+        for b in _row_blocks(n):
+            left[b] = (table[b] == eye).all(axis=1)
+        ident = [e for e in np.flatnonzero(left) if (table[:, e] == eye).all()]
         if len(ident) != 1:
             raise ValueError(f"group {self.name} has no identity")
         self.identity = int(ident[0])
         inv = np.full(n, -1, dtype=np.int64)
-        rows, cols = np.nonzero(table == self.identity)
-        inv[rows] = cols
+        for b in _row_blocks(n):
+            rows, cols = np.nonzero(table[b] == self.identity)
+            inv[b.start + rows] = cols
         if (inv < 0).any():
             raise ValueError(f"group {self.name} has an element without inverse")
         self.inv = inv.astype(np.uint16)
+        self._orders = None
         self._gens = self._generators()
         self._check_associativity()
-        self._orders = None
         self._center = None
         self._hom_classes = {}
         self._subgroup_groups = {}
@@ -83,16 +94,13 @@ class FiniteGroup:
         The g with (xg)y == x(gy) for all x, y form a set closed under
         products that holds the identity; once it holds generators whose
         products reach every element, it is the whole group.  Rows are
-        compared in blocks of about _CHECK_BLOCK entries, so no transient
-        grows with the square of the order.
+        compared in blocks.
         """
-        table, n = self.table, self.order
-        rows = max(1, _CHECK_BLOCK // n)
+        table = self.table
         for g in self._gens:
             left, right = table[:, g], table[g]
-            for r in range(0, n, rows):
-                block = table[r:r + rows]
-                if (table[left[r:r + rows]] != np.take(block, right, axis=1)).any():
+            for b in _row_blocks(self.order):
+                if (table[left[b]] != np.take(table[b], right, axis=1)).any():
                     raise ValueError(f"multiplication table of {self.name} is not associative")
 
     def _generators(self):
@@ -102,10 +110,10 @@ class FiniteGroup:
         that products of the earlier ones miss, the first such on ties; then
         each generator that the others already generate is dropped.  S5 to S7
         end with two, where taking the first element missed needs m - 1.
-        Orders above _RANK_STEPS rank alike, so a table that is no group
-        still ends.
+        orders() takes a bounded number of gathers on any table, so a table
+        that is no group still ends.
         """
-        rank = self._element_orders(_RANK_STEPS)
+        rank = self.orders()
         gens = []
         while not (reached := self._closure(gens)).all():
             gens.append(int(np.argmax(np.where(reached, 0, rank))))
@@ -126,35 +134,12 @@ class FiniteGroup:
             frontier = np.flatnonzero(reached ^ before)
         return reached
 
-    def _element_orders(self, cap):
-        """Order of every element up to cap, from powers taken for all elements at once.
-
-        At most cap powers are taken and larger orders read cap + 1, so a
-        table that is not yet known to be a group still ends.
-        """
-        out = np.full(self.order, cap + 1, dtype=np.int64)
-        live = power = np.arange(self.order)  # power is x^k for each live x
-        k = 1
-        while live.size and k <= cap:
-            done = power == self.identity
-            out[live[done]] = k
-            live, power = live[~done], power[~done]
-            power = self.table[power, live]
-            k += 1
-        return out
-
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
-
-    def inverse(self, i: int) -> int:
-        return int(self.inv[i])
-
-    def conjugate(self, x: int, g: int) -> int:
-        return int(self.table[self.table[x, g], self.inv[x]])
 
     def orders(self):
         """Order of every element, by divisor tests on |G|.
@@ -303,8 +288,7 @@ def _perm_table(perms):
     A permutation's base-m digits are its entries, so its key ranks it; a
     dense key -> index array of m^m entries (823543 for S7) reads the rows.
     The key of s t is sum_i w_i s(t(i)) = s . u_t with u_t(j) = w_(t^-1(j)),
-    so a block of rows is one integer matrix product, at most _CHECK_BLOCK
-    keys at a time.
+    so a block of rows is one integer matrix product.
     """
     n, m = perms.shape
     weights = m ** np.arange(m - 1, -1, -1)
@@ -312,9 +296,8 @@ def _perm_table(perms):
     rank[perms.dot(weights)] = np.arange(n)
     u = weights[np.argsort(perms, axis=1)].T  # column t is u_t
     table = np.empty((n, n), dtype=np.uint16)
-    rows = max(1, _CHECK_BLOCK // n)
-    for a in range(0, n, rows):
-        table[a:a + rows] = rank[perms[a:a + rows] @ u]
+    for b in _row_blocks(n):
+        table[b] = rank[perms[b] @ u]
     return table
 
 
@@ -335,9 +318,9 @@ def cyclic_group(k: int) -> FiniteGroup:
     if name not in _GROUPS:
         _check_order(name, [k])
         a = np.arange(k, dtype=np.uint16)
-        _GROUPS[name] = FiniteGroup(
-            name, range(k), (a[:, None] + a) % k, structure=("cyclic", k)
-        )
+        table = np.add.outer(a, a)
+        np.remainder(table, k, out=table)  # in place: one table at a time
+        _GROUPS[name] = FiniteGroup(name, range(k), table, structure=("cyclic", k))
     return _GROUPS[name]
 
 
@@ -486,10 +469,6 @@ def identity_hom(g: FiniteGroup) -> Homomorphism:
     return Homomorphism(g, g, tuple(range(g.order)))
 
 
-def trivial_hom(g: FiniteGroup, k: FiniteGroup) -> Homomorphism:
-    return Homomorphism(g, k, (k.identity,) * g.order)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     parent: FiniteGroup
@@ -528,17 +507,8 @@ class Subgroup:
 
 
 def subgroup_closure(group: FiniteGroup, gens) -> Subgroup:
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = [int(g) for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return Subgroup(group, tuple(sorted(seen)))
+    """The subgroup gens generate: in a finite group, right products with gens reach it."""
+    return Subgroup(group, tuple(np.flatnonzero(group._closure([int(g) for g in gens])).tolist()))
 
 
 def abelian_subgroups(group: FiniteGroup):
@@ -684,14 +654,6 @@ def _cosets(group: FiniteGroup, image):
                 reps.append(g)
         group._cosets[key] = (np.array(reps, dtype=np.intp), inside)
     return group._cosets[key]
-
-
-def fixed_cosets(group: FiniteGroup, subgroup: Subgroup, alpha: TupleClass):
-    """Coset representatives g with gH fixed by every entry of alpha's rep."""
-    if subgroup.parent is not group:
-        raise NotASubgroupError("subgroup does not live in the given group")
-    found = fixed_coset_conjugates(group, set(subgroup.indices), alpha.rep)
-    return tuple(g for g, _ in found)
 
 
 def delta_embed(i: int, j: int) -> Homomorphism:

@@ -18,7 +18,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .lattice import (
-    LatticeBasis,
     Matrix,
     PAdicMatrix,
     hnf,
@@ -48,21 +47,20 @@ class Isogeny:
     def n(self) -> int:
         return self.matrix.n
 
-    @property
-    def kernel_order(self) -> int:
-        return self.p ** self.matrix.det_valuation()
-
-    def dual(self) -> PAdicMatrix:
-        return self.matrix.transpose()
-
 
 def compose(phi: Isogeny, psi: Isogeny) -> Isogeny:
-    """Composite isogeny x -> phi(psi(x)); kernel orders multiply."""
+    """Composite isogeny x -> phi(psi(x)); kernel orders multiply.
+
+    This is the product of the isogeny monoid that acts on class functions.
+    """
     return Isogeny(phi.matrix.mul(psi.matrix))
 
 
 def kernel(phi: Isogeny) -> TorsionSubgroup:
-    """Canonical form of ker(phi) = (A^{-1}Z^n)/Z^n inside the torus."""
+    """Canonical form of ker(phi) = (A^{-1}Z^n)/Z^n inside the torus.
+
+    It inverts a section: kernel(section.isogeny_for(H)) == H for every H covered.
+    """
     return subgroup_from_kernel_matrix(phi.matrix)
 
 
@@ -84,9 +82,6 @@ class Section:
                 f"section only covers kernels of order up to {self.p}^{self.bound}"
             )
         return self.assignment[h]
-
-    def domain(self):
-        return tuple(self.assignment)
 
 
 def _all_subgroups(p: int, n: int, bound: int):
@@ -127,14 +122,14 @@ def psi_dual(phi: Isogeny) -> Matrix:
     return solve_integer(basis, t)
 
 
-def psi_dual_basis(phi: Isogeny) -> LatticeBasis:
-    return hnf(mat_transpose(phi.matrix.entries), phi.p)[0]
-
-
 def sigma_solve(
     gamma: PAdicMatrix, h: TorsionSubgroup, section: Section
 ) -> PAdicMatrix:
-    """The automorphism with phi_{gamma H} . gamma = sigma . phi_H, solved exactly."""
+    """The automorphism with phi_{gamma H} . gamma = sigma . phi_H, solved exactly.
+
+    sigma is the conjugator of the stabilizer action: it carries the
+    section's isogeny at H, after gamma, to its isogeny at gamma H.
+    """
     from .torsion import image_subgroup
 
     gh = image_subgroup(gamma, h)

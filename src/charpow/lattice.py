@@ -157,24 +157,12 @@ class PAdicMatrix:
     def det(self) -> int:
         return mat_det(self.entries)
 
-    def det_valuation(self) -> int:
-        if self.det == 0:
-            raise SingularMatrixError("matrix represents no isogeny (det = 0)")
-        return int_valuation(self.det, self.p)
-
     def is_automorphism(self) -> bool:
         return self.det != 0 and self.det % self.p != 0
 
     def mul(self, other: "PAdicMatrix") -> "PAdicMatrix":
         assert self.p == other.p
         return PAdicMatrix(self.p, mat_mul(self.entries, other.entries))
-
-    def transpose(self) -> "PAdicMatrix":
-        return PAdicMatrix(self.p, mat_transpose(self.entries))
-
-    @staticmethod
-    def identity(p: int, n: int) -> "PAdicMatrix":
-        return PAdicMatrix(p, identity_matrix(n))
 
 
 @dataclass(frozen=True)
@@ -202,7 +190,11 @@ class LatticeBasis:
         return len(self.matrix)
 
     def index(self) -> int:
-        """Index [Z^n : L]; equals the product of the diagonal."""
+        """Index [Z^n : L]; equals the product of the diagonal.
+
+        For the annihilator lattice Lambda_H this is |H|, the orbit count
+        behind the sum bijections.
+        """
         out = 1
         for i in range(self.n):
             out *= self.matrix[i][i]
@@ -350,6 +342,9 @@ def row_hnf(entries) -> Matrix:
 
 def snf(m: PAdicMatrix) -> tuple:
     """Elementary divisors of Z^n / M Z^n, returned as their p-parts.
+
+    They give the isomorphism type of the kernel of the isogeny M, a finite
+    subgroup of the torus of order p^{v_p(det M)}.
 
     Column and row Hermite forms alternate until the matrix is diagonal
     (Kannan-Bachem): each round the bottom-right pivot divides the one

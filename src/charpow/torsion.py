@@ -25,7 +25,6 @@ from .lattice import (
     column_span_basis,
     freeze,
     hnf,
-    identity_matrix,
     int_valuation,
     is_p_power,
     is_prime,
@@ -63,9 +62,6 @@ class TorsionSubgroup:
     def n(self) -> int:
         return len(self.matrix)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def generators(self):
         """Columns of A_H^{-1} reduced mod Z^n, as tuples of Fractions in [0, 1)."""
         inv = mat_inverse_fractions(self.matrix)
@@ -74,15 +70,6 @@ class TorsionSubgroup:
 
     def sort_key(self):
         return _SORT_KEY(self)
-
-
-def trivial_subgroup(p: int, n: int) -> TorsionSubgroup:
-    return TorsionSubgroup(p, identity_matrix(n))
-
-
-def full_torsion(p: int, n: int, k: int = 1) -> TorsionSubgroup:
-    """The p^k-torsion subgroup, of order p^{kn}."""
-    return TorsionSubgroup(p, scalar_matrix(n, p ** k))
 
 
 def subgroup_from_kernel_matrix(m: PAdicMatrix) -> TorsionSubgroup:

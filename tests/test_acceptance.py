@@ -72,13 +72,14 @@ def _bruteforce_pair_class_count(m):
     ppow = [
         i for i in range(g.order) if int(g.orders()[i]) in (1, 2, 4)
     ]
+    conj = lambda x, a: g.mul(g.mul(x, a), int(g.inv[x]))  # x a x^-1
     orbits = set()
     for a in ppow:
         for b in ppow:
             if g.mul(a, b) != g.mul(b, a):
                 continue
             orbit = frozenset(
-                (g.conjugate(x, a), g.conjugate(x, b)) for x in range(g.order)
+                (conj(x, a), conj(x, b)) for x in range(g.order)
             )
             orbits.add(orbit)
     return len(orbits)

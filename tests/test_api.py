@@ -1,0 +1,85 @@
+"""Every public function, class and method of the package is used by the package.
+
+The scan reads src/charpow with ast.  A module-level function or class
+counts as used where another part of the package reads its name; a method
+where it is called, x.name(...); a property where x.name is read.  Uses
+inside the definition itself do not count, nor do the re-exports of
+__init__.py.  Names are matched without types, so a dead method can hide
+behind a live one of the same name; a method that is only passed around
+uncalled would need an entry below.
+"""
+
+import ast
+from pathlib import Path
+
+import charpow
+
+SRC = Path(charpow.__file__).parent
+
+# Concepts of the paper that a library user calls and the package does not.
+ALLOWED = {
+    "isogeny.sigma_solve": "the conjugator of the stabilizer action between two sections",
+    "isogeny.kernel": "ker(phi) as a subgroup; a section's isogeny at H has kernel H",
+    "isogeny.compose": "the product of the isogeny monoid; kernel orders multiply",
+    "classfn.aut_act": "the GL_n(Z_p) action on class functions whose invariants HKR's map reaches",
+    "classfn.indicator": "the class function supported on one tuple class",
+    "classfn.TransferIdeal.contains": "membership of a class function in the transfer ideal",
+    "classfn.C0Element.sub": "subtraction in the coefficient ring C_0",
+    "lattice.snf": "elementary divisors, the isomorphism type of an isogeny's kernel",
+    "lattice.LatticeBasis.index": "[Z^n : Lambda_H] = |H| for an annihilator lattice",
+}
+
+
+def _scan():
+    """(definitions, uses): definitions as (qualified name, kind); uses as (kind, name, site)."""
+    defs, uses = [], []
+
+    def visit(node, module, scope):
+        """scope: the qualified names of the enclosing definitions, outermost first."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                qual = f"{scope[-1] if scope else module}.{child.name}"
+                in_class = isinstance(node, ast.ClassDef)
+                if not child.name.startswith("_") and (not scope or in_class):
+                    decorators = {getattr(d, "id", None) for d in child.decorator_list}
+                    if not in_class:
+                        kind = "name"
+                    elif decorators & {"property", "cached_property"}:
+                        kind = "attribute"
+                    else:
+                        kind = "call"
+                    defs.append((qual, kind))
+                visit(child, module, scope + (qual,))
+                continue
+            if isinstance(child, ast.Name):
+                uses.append(("name", child.id, scope))
+            elif isinstance(child, ast.Attribute):
+                uses.append(("attribute", child.attr, scope))
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                uses.append(("call", child.func.attr, scope))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return defs, uses
+
+
+def _unused():
+    defs, uses = _scan()
+    unused = []
+    for qual, kind in defs:
+        name = qual.rsplit(".", 1)[1]
+        if not any(k == kind and n == name and qual not in site for k, n, site in uses):
+            unused.append(qual)
+    return unused
+
+
+def test_every_public_name_is_used_in_the_package():
+    unused = [q for q in _unused() if q not in ALLOWED]
+    assert unused == [], f"public names that nothing in src/charpow uses: {unused}"
+
+
+def test_allowlist_names_only_unused_definitions():
+    # an allowed name that the package starts to use, or that is deleted, leaves the list
+    assert sorted(ALLOWED) == sorted(q for q in _unused() if q in ALLOWED)

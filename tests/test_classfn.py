@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from charpow.classfn import (
     _is_invertible_mod_p,
     _left_translation_perm,
     _right_translation_perm,
+    _table_size,
     _translation_perm,
     c0_constant,
     c0_coordinate,
@@ -30,7 +32,6 @@ from charpow.classfn import (
     from_json_dict,
     indicator,
     is_invariant,
-    matrix_space,
     power_op,
     random_class_function,
     random_stabilizer,
@@ -94,6 +95,14 @@ def s3():
 @pytest.fixture(scope="module")
 def section():
     return canonical_section(P, N, 2)
+
+
+@lru_cache(maxsize=None)
+def matrix_space(p: int, level: int, n: int):
+    """Oracle: all n x n matrices mod p^level, flattened row-major, lexicographic."""
+    _table_size(p, n, level)
+    mats = tuple(itertools.product(range(p ** level), repeat=n * n))
+    return mats, {m: i for i, m in enumerate(mats)}
 
 
 def general_linear_residues(p, level, n):
@@ -921,9 +930,7 @@ def test_restrict_identity_and_trivial_map(s3):
     f = random_class_function(s3, P, N, LEVEL, seed=30)
     assert restrict(f, identity_hom(s3)) == f
     c4 = build_group("C4")
-    from charpow.groups import trivial_hom
-
-    pulled = restrict(f, trivial_hom(c4, s3))
+    pulled = restrict(f, Homomorphism(c4, s3, (s3.identity,) * c4.order))
     trivial_value = f.value_at((s3.identity,) * N)
     assert all(
         pulled.value_at(c) == trivial_value
@@ -973,7 +980,7 @@ def test_section_domain_order_contract():
     expected = []
     for k in range(3):
         expected.extend(enumerate_subgroups(P, N, k))
-    assert list(sec.domain()) == expected
+    assert list(sec.assignment) == expected
 
 
 def test_section_dependence_without_invariance(s3, section):

@@ -634,3 +634,34 @@ def test_powerop_bad_input_entry_exits_2_naming_class_and_index(tmp_path, value,
     code, out, err = run(["powerop", "--input", str(src), "--m", "2"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: class {rep}: value entry 5 = {value!r} {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "path, bad, message",
+    [((), None, "class function JSON must be an object, not list"),  # the object in a list
+     (("classes",), 5, "classes must be a list, not int"),
+     (("classes", 1), 5, "classes[1] must be an object, not int"),
+     (("classes", 1, "rep"), 5, "classes[1].rep must be a list, not int"),
+     (("classes", 1, "rep", 0), [0], "classes[1].rep = [0] is not an integer"),
+     (("classes", 1, "value"), 5, "classes[1].value must be a list, not int"),
+     (("group",), 5, "group must be a string, not int"),
+     (("p",), [2], "p = [2] is not an integer"),
+     (("level",), "x", "level = 'x' is not an integer")],
+)
+def test_powerop_input_of_the_wrong_shape_exits_2_naming_the_field(
+    tmp_path, path, bad, message, capsys
+):
+    data = to_json_dict(random_class_function(build_group("C2"), 2, 2, 2, seed=3))
+    if path:
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+    else:
+        data = [data]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(data))
+    code, out, err = run(["powerop", "--input", str(src), "--m", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from charpow import torsion
 from charpow.errors import ListingTooLargeError
-from charpow.lattice import PAdicMatrix, mat_det, mat_mul
+from charpow.lattice import PAdicMatrix, identity_matrix, mat_det, mat_mul, scalar_matrix
 from charpow.rng import SplitMix64, random_unimodular
 from charpow.torsion import (
     SumOfSubgroups,
@@ -17,11 +17,12 @@ from charpow.torsion import (
     annihilator_lattice,
     enumerate_subgroups,
     enumerate_sums,
-    full_torsion,
     image_subgroup,
     subgroup_from_generators,
-    trivial_subgroup,
 )
+
+TRIVIAL = TorsionSubgroup(2, identity_matrix(2))  # in (Q_2/Z_2)^2
+TWO_TORSION = TorsionSubgroup(2, scalar_matrix(2, 2))
 
 
 def bruteforce_subgroups_of_torsion_square(p, e, order):
@@ -66,7 +67,7 @@ def subgroup_to_elements(h, q):
 
 
 def test_trivial_subgroup():
-    assert enumerate_subgroups(2, 2, 0) == (trivial_subgroup(2, 2),)
+    assert enumerate_subgroups(2, 2, 0) == (TRIVIAL,)
 
 
 @pytest.mark.parametrize("p,k,count", [(2, 1, 3), (2, 2, 7), (3, 1, 4)])
@@ -123,8 +124,8 @@ def test_single_summand_sums_biject_with_subgroups():
 
 
 def test_annihilator_trivial_and_full():
-    assert annihilator_lattice(trivial_subgroup(2, 2)).matrix == ((1, 0), (0, 1))
-    assert annihilator_lattice(full_torsion(2, 2)).matrix == ((2, 0), (0, 2))
+    assert annihilator_lattice(TRIVIAL).matrix == ((1, 0), (0, 1))
+    assert annihilator_lattice(TWO_TORSION).matrix == ((2, 0), (0, 2))
 
 
 def test_annihilator_pairing_oracle():
@@ -145,11 +146,11 @@ def test_annihilator_valuation():
 
 
 def test_image_identity_and_multiplication_by_p():
-    h = full_torsion(2, 2)
+    h = TWO_TORSION
     eye = PAdicMatrix(2, ((1, 0), (0, 1)))
     assert image_subgroup(eye, h) == h
     twice = PAdicMatrix(2, ((2, 0), (0, 2)))
-    assert image_subgroup(twice, h) == trivial_subgroup(2, 2)
+    assert image_subgroup(twice, h) == TRIVIAL
 
 
 @settings(max_examples=25, deadline=None)
@@ -180,7 +181,7 @@ def test_subgroup_from_generators_matches_order():
     g = subgroup_from_generators(
         2, 2, [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))]
     )
-    assert g == full_torsion(2, 2)
+    assert g == TWO_TORSION
 
 
 def test_sums_canonical_order_and_uniqueness():
@@ -211,8 +212,8 @@ def test_sums_n3_m10_are_pinned():
 
 
 def test_sum_multiset_sorted():
-    h1 = trivial_subgroup(2, 2)
-    h2 = full_torsion(2, 2)
+    h1 = TRIVIAL
+    h2 = TWO_TORSION
     assert SumOfSubgroups((h2, h1)) == SumOfSubgroups((h1, h2))
 
 
