@@ -889,11 +889,10 @@ def _json_field(value, kind, where):
 
 
 def _json_int(value, where):
-    """int(value), or a ValueError naming the field where."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} = {value!r} is not an integer") from None
+    """value if it is an int (not a bool, float or digit string), else a ValueError naming where."""
+    if type(value) is not int:
+        raise ValueError(f"{where} = {value!r} is not an integer")
+    return value
 
 
 def from_json_dict(data: dict) -> ClassFunction:

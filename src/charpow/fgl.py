@@ -121,32 +121,48 @@ class TruncatedPoly:
         )
 
     def mul(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        out = {}
-        terms = [(e2, c2, sum(e2)) for e2, c2 in other.coeffs]
-        for e1, c1 in self.coeffs:
-            room = self.trunc - sum(e1)
-            for e2, c2, d2 in terms:
-                if d2 > room:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
+        out = _mul_into({}, self.coeffs, other.coeffs, self.trunc)
         return TruncatedPoly.make(self.ring, self.nvars, self.trunc, out)
 
     def substitute(self, args) -> "TruncatedPoly":
-        """Plug args[i] (all in one ambient poly ring) in for variable i."""
+        """Plug args[i] (all in one ambient poly ring) in for variable i.
+
+        Terms are grouped by their exponent of each variable in turn, so
+        F = sum_e args[0]^e F_e(args[1], ...) costs one product per exponent
+        e, and everything is summed into one dict that make converts once.
+        """
         assert len(args) == self.nvars
-        tgt_nvars = args[0].nvars
-        ring, trunc = self.ring, self.trunc
+        ring, trunc, tgt_nvars = self.ring, self.trunc, args[0].nvars
         powers = [[TruncatedPoly.const(ring, tgt_nvars, trunc, 1)] for _ in args]
-        out = TruncatedPoly.zero(ring, tgt_nvars, trunc)
-        for exps, c in self.coeffs:
-            term = TruncatedPoly.const(ring, tgt_nvars, trunc, c)
-            for v, e in enumerate(exps):
+
+        def plug(terms, v):
+            """sum of c . prod_{u >= v} args[u]^exps[u] over terms (exps, c), as a dict."""
+            if v == self.nvars:  # the terms share every exponent: one term
+                return {(0,) * tgt_nvars: terms[0][1]}
+            groups = {}
+            for term in terms:
+                groups.setdefault(term[0][v], []).append(term)
+            out = {}
+            for e, group in groups.items():
                 while len(powers[v]) <= e:
                     powers[v].append(powers[v][-1].mul(args[v]))
-                term = term.mul(powers[v][e])
-            out = out.add(term)
-        return out
+                _mul_into(out, powers[v][e].coeffs, plug(group, v + 1).items(), trunc)
+            return out
+
+        return TruncatedPoly.make(ring, tgt_nvars, trunc, plug(self.coeffs, 0))
+
+
+def _mul_into(out: dict, left, right, trunc: int) -> dict:
+    """out += left . right, dropping total degree above trunc; terms are (exps, c) pairs."""
+    terms = [(e2, c2, sum(e2)) for e2, c2 in right]
+    for e1, c1 in left:
+        room = trunc - sum(e1)
+        for e2, c2, d2 in terms:
+            if d2 > room:
+                continue
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 @dataclass(frozen=True)
@@ -286,18 +302,26 @@ def honda_logarithm(p: int, n: int, trunc: int) -> TruncatedSeries:
 
 
 def series_reversion(s: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse of a series with s(0) = 0 and unit linear term."""
+    """Compositional inverse of a series with s(0) = 0 and unit linear term.
+
+    [x^k] s(g) = g_k + sum_{i >= 2} s_i [x^k] g^i, and [x^k] g^i (i >= 2)
+    involves only g_1..g_{k-1}; so one pass over k fills in column k of
+    every power g^i, then g_k.
+    """
     ring = s.ring
     d = s.trunc
-    assert s.coeffs[0] == ring.convert(0) and s.coeffs[1] == ring.convert(1)
-    inv = TruncatedSeries.x(ring, d)
+    zero = ring.convert(0)
+    assert s.coeffs[0] == zero and s.coeffs[1] == ring.convert(1)
+    inv = list(TruncatedSeries.x(ring, d).coeffs)
+    powers = [None, inv] + [[zero] * (d + 1) for _ in range(2, d + 1)]  # powers[i][k] = [x^k] g^i
     for k in range(2, d + 1):
-        residual = s.compose(inv).coeffs[k]
-        if residual != ring.convert(0):
-            coeffs = list(inv.coeffs)
-            coeffs[k] = coeffs[k] - residual
-            inv = TruncatedSeries(ring, tuple(coeffs))
-    return inv
+        for i in range(2, k + 1):
+            prev = powers[i - 1]
+            powers[i][k] = ring.convert(sum(inv[j] * prev[k - j] for j in range(1, k - i + 2)))
+        residual = ring.convert(sum(s.coeffs[i] * powers[i][k] for i in range(2, k + 1)))
+        if residual != zero:
+            inv[k] = inv[k] - residual
+    return TruncatedSeries(ring, tuple(inv))
 
 
 def build_honda_rational(p: int, n: int, trunc: int) -> FGL:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,20 +25,20 @@ from .errors import (
 from .lattice import (
     LatticeBasis,
     Matrix,
-    column_span_basis,
+    _flip,
     int_valuation,
     is_p_power,
     is_prime,
-    solve_integer,
 )
 from .torsion import (
     LISTING_CAP,
     SumOfSubgroups,
     annihilator_lattice,
-    subgroup_from_annihilator,
+    torsion_subgroup,
 )
 
 ORDER_CAP = 10_000
+TRANSLATION_CACHE = 1024  # lattices whose coset translations are kept at most
 _CHECK_BLOCK = 1 << 18  # table entries per block of a table scan
 
 
@@ -751,72 +752,87 @@ def split_product_class(alpha: TupleClass):
 # the bijections with (decorated) sums of subgroups
 
 
+def _reduce_into_box(v, cols):
+    """Reduce v in place into the box 0 <= v[i] < cols[i][i]; return the multiples taken off.
+
+    Column i of cols has its pivot cols[i][i] > 0 at entry i and zeros below.
+    """
+    coords = [0] * len(cols)
+    for i in range(len(cols) - 1, -1, -1):
+        q = coords[i] = v[i] // cols[i][i]
+        for r in range(i + 1):
+            v[r] -= q * cols[i][r]
+    return coords
+
+
+def _stabilizer_basis(perms, x0):
+    """(column HNF of the stabilizer Lambda of x0, orbit of x0) from one walk.
+
+    Z^n acts through the commuting perms s_j.  Before step j the walk holds
+    the orbit of x0 under s_0..s_{j-1}, each point y with its word w_y in
+    the box [0, d_0) x ... x [0, d_{j-1}), s^{w_y} x0 = y.  The pivot d_j is
+    the least t > 0 with s_j^t x0 in that orbit, at y say, so column j of
+    the HNF is (-w_y, d_j) reduced right of the earlier pivots; the orbit
+    grows to the points s_j^t z, t < d_j, with words (w_z, t).
+    """
+    words = {x0: ()}
+    cols = []
+    for s in perms:
+        y, d = s[x0], 1
+        while y not in words:
+            y, d = s[y], d + 1
+        col = [-w for w in words[y]] + [d]
+        _reduce_into_box(col, cols)
+        cols.append(col)
+        grown = {}
+        for z, w in words.items():
+            for t in range(d):
+                grown[z] = w + (t,)
+                z = s[z]
+        words = grown
+    n = len(perms)
+    return tuple(zip(*(col + [0] * (n - len(col)) for col in cols))), words
+
+
 def _orbit_subgroups(perms, p: int, n: int):
     """(base point, annihilator basis, subgroup) for each orbit of a permutation tuple.
 
-    Z^n acts through the commuting perms.  One walk per orbit, from its
-    least point x0, records a word lam_y with prod s_j^{lam_y[j]} x0 = y;
-    each step y -> s_j(y) gives the Schreier generator lam_y + e_j -
-    lam_{s_j(y)}, and these span the stabilizer Lambda of x0.
-    Orbit-stabilizer: the orbit is Z^n / Lambda, so the subgroup H with
-    annihilator Lambda has the orbit's size.
+    Z^n acts through the commuting perms; the stabilizer Lambda of the
+    orbit's least point x0 is the annihilator of H, and by orbit-stabilizer
+    |H| = [Z^n : Lambda] is the orbit's size.  The walk in generator order
+    gives the column HNF of Lambda; in reverse order it gives the column
+    HNF of Lambda with its coordinates reversed, whose anti-transpose is
+    A_H = row_hnf(Lambda^T).
     """
     seen = set()
     for x0 in range(len(perms[0])):
         if x0 in seen:
             continue
-        words = {x0: (0,) * n}
-        frontier = [x0]
-        gens = []
-        while frontier:
-            y = frontier.pop()
-            lam = words[y]
-            for j, s in enumerate(perms):
-                step = tuple(x + (i == j) for i, x in enumerate(lam))
-                z = s[y]
-                if z in words:
-                    gens.append(tuple(a - b for a, b in zip(step, words[z])))
-                else:
-                    words[z] = step
-                    frontier.append(z)
-        seen.update(words)
-        basis = LatticeBasis(p, column_span_basis(tuple(zip(*gens))))
-        h = subgroup_from_annihilator(p, basis)
-        assert h.order == len(words)
-        yield x0, basis, h
+        basis, orbit = _stabilizer_basis(perms, x0)
+        seen.update(orbit)
+        h = torsion_subgroup(p, _flip(_stabilizer_basis(perms[::-1], x0)[0]))
+        assert h.order == len(orbit)
+        yield x0, LatticeBasis(p, basis), h
 
 
-def _reduce_mod_basis(basis: Matrix, v):
-    v = list(v)
-    for i in range(len(v) - 1, -1, -1):
-        q = v[i] // basis[i][i]
-        if q:
-            for r in range(i + 1):
-                v[r] -= q * basis[r][i]
-    return tuple(v)
+@lru_cache(maxsize=TRANSLATION_CACHE)
+def _coset_translations(lattice: LatticeBasis):
+    """Translation by each e_j on Z^n / Lambda, as (j, c, d, coords).
 
-
-def _coset_translations(lattices, n: int):
-    """Translation by each e_j on the disjoint union of the Z^n / Lambda_k.
-
-    Cosets are numbered lattice by lattice, then by canonical residue;
-    lattices are indexed by position, since a decorated sum can repeat a
-    subgroup with different decorations.  Yields (j, c, d, k, lam): coset c
-    of the k-th lattice moves to coset d, with r_c + e_j = r_d + lam and lam
-    in Lambda_k.
+    Cosets are numbered by their canonical residues r in the box
+    [0, d_0) x ... x [0, d_{n-1}), in lexicographic order: coset c moves to
+    coset d, with r_c + e_j = r_d + B . coords for B the basis of Lambda.
     """
-    offset = 0
-    for k, lattice in enumerate(lattices):
-        basis = lattice.matrix
-        reps = list(itertools.product(*[range(basis[i][i]) for i in range(n)]))
-        pos = {r: offset + i for i, r in enumerate(reps)}
-        for j in range(n):
-            for r in reps:
-                shifted = [x + int(i == j) for i, x in enumerate(r)]
-                target = _reduce_mod_basis(basis, shifted)
-                lam = tuple(a - b for a, b in zip(shifted, target))
-                yield j, pos[r], pos[target], k, lam
-        offset += len(reps)
+    cols = list(zip(*lattice.matrix))
+    reps = list(itertools.product(*[range(col[i]) for i, col in enumerate(cols)]))
+    pos = {r: i for i, r in enumerate(reps)}
+    out = []
+    for j in range(len(cols)):
+        for r in reps:
+            v = [x + (i == j) for i, x in enumerate(r)]
+            coords = tuple(_reduce_into_box(v, cols))
+            out.append((j, pos[r], pos[tuple(v)], coords))
+    return tuple(out)
 
 
 def symm_class_to_sum(alpha: TupleClass) -> SumOfSubgroups:
@@ -836,9 +852,11 @@ def sum_to_symm_class(s: SumOfSubgroups, n: int) -> TupleClass:
         raise ValueError("empty sum")
     group = symmetric_group(s.total)
     perms = [[None] * s.total for _ in range(n)]
-    lattices = [annihilator_lattice(h) for h in s.summands]
-    for j, c, d, _, _ in _coset_translations(lattices, n):
-        perms[j][c] = d
+    offset = 0  # cosets are numbered summand by summand
+    for h in s.summands:
+        for j, c, d, _ in _coset_translations(annihilator_lattice(h)):
+            perms[j][offset + c] = offset + d
+        offset += h.order
     rep = tuple(group.index[tuple(perm)] for perm in perms)
     return TupleClass(group, rep, s.summands[0].p)
 
@@ -887,13 +905,13 @@ def decorated_to_wreath_class(s: DecoratedSum, n: int) -> TupleClass:
     wreath = wreath_group(g, s.total)
     perms = [[None] * s.total for _ in range(n)]
     vecs = [[None] * s.total for _ in range(n)]
-    lattices = [annihilator_lattice(h) for h, _ in s.summands]
-    for j, c, d, k, lam in _coset_translations(lattices, n):
-        perms[j][c] = d
-        # cocycle value at coset d: alpha_k at lam, in the HNF basis of Lambda_k
-        coords = solve_integer(lattices[k], tuple((x,) for x in lam))
-        alpha = s.summands[k][1]
-        vecs[j][d] = g.elements[_evaluate(g, alpha.rep, (row[0] for row in coords))]
+    offset = 0  # cosets are numbered summand by summand; a subgroup may repeat
+    for h, alpha in s.summands:
+        for j, c, d, coords in _coset_translations(annihilator_lattice(h)):
+            perms[j][offset + c] = offset + d
+            # cocycle value at coset d: alpha at the translation, in the HNF basis of Lambda_H
+            vecs[j][offset + d] = g.elements[_evaluate(g, alpha.rep, coords)]
+        offset += h.order
     rep = tuple(
         wreath.index[(tuple(vec), tuple(perm))] for vec, perm in zip(vecs, perms)
     )

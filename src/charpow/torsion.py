@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 from .errors import ListingTooLargeError, SingularMatrixError
@@ -36,6 +37,8 @@ from .lattice import (
 )
 
 LISTING_CAP = 100_000  # most subgroups, sums, or summands of one sum a listing holds
+SUBGROUP_CACHE = 4096  # interned subgroups, and annihilator lattices, kept at most
+LISTING_CACHE = 32  # subgroup listings kept at most
 _SORT_KEY = attrgetter("order", "matrix")  # the canonical order of subgroups
 
 
@@ -109,14 +112,16 @@ def subgroup_from_generators(p: int, n: int, gens) -> TorsionSubgroup:
     basis = column_span_basis(scaled)  # basis of q . (Z^n + <gens>), which holds q . Z^n
     # A_H = q . basis^{-1} maps the preimage lattice onto Z^n
     a = solve_integer(LatticeBasis(p, basis), scalar_matrix(n, q))
-    return TorsionSubgroup(p, row_hnf(a))
+    return torsion_subgroup(p, row_hnf(a))
 
 
-def subgroup_from_annihilator(p: int, basis: LatticeBasis) -> TorsionSubgroup:
-    """Subgroup whose annihilator lattice is the given column span."""
-    return TorsionSubgroup(p, row_hnf(mat_transpose(basis.matrix)))
+@lru_cache(maxsize=SUBGROUP_CACHE)
+def torsion_subgroup(p: int, matrix: Matrix) -> TorsionSubgroup:
+    """TorsionSubgroup(p, matrix) for a frozen matrix, interned: each is checked once."""
+    return TorsionSubgroup(p, matrix)
 
 
+@lru_cache(maxsize=SUBGROUP_CACHE)
 def annihilator_lattice(h: TorsionSubgroup) -> LatticeBasis:
     """Column-HNF basis of Lambda_H; its index equals |H|."""
     basis, _ = hnf(mat_transpose(h.matrix), h.p)
@@ -140,10 +145,15 @@ def enumerate_subgroups(p: int, n: int, k: int):
     Row-HNF matrices with p-power diagonal biject with subgroups; the list
     is sorted lexicographically on the matrix entries.
     """
-    if _subgroup_count(p, n, k) > LISTING_CAP:
+    if _subgroup_count(p, n, k) > LISTING_CAP:  # before the cache, so a lower cap holds
         raise ListingTooLargeError(
             f"k = {k}: more than LISTING_CAP = {LISTING_CAP} subgroups"
         )
+    return _subgroup_listing(p, n, k)
+
+
+@lru_cache(maxsize=LISTING_CACHE)
+def _subgroup_listing(p: int, n: int, k: int):
     out = []
     for exps in _compositions(k, n):
         diag = [p ** e for e in exps]
@@ -159,7 +169,7 @@ def enumerate_subgroups(p: int, n: int, k: int):
                 for i in range(j):
                     m[i][j] = offs[pos]
                     pos += 1
-            out.append(TorsionSubgroup(p, freeze(m)))
+            out.append(torsion_subgroup(p, freeze(m)))
     out.sort(key=lambda h: h.matrix)
     return tuple(out)
 

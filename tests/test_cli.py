@@ -665,3 +665,30 @@ def test_powerop_input_of_the_wrong_shape_exits_2_naming_the_field(
     code, out, err = run(["powerop", "--input", str(src), "--m", "2"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("p", 2.9), ("level", 1.5), ("n", "1"), ("n", 1.0), ("n", True), ("p", True)],
+)
+def test_powerop_input_integer_fields_are_strict(tmp_path, key, bad, capsys):
+    # a float, a digit string or a bool is refused, not truncated or converted
+    data = to_json_dict(random_class_function(build_group("C2"), 2, 1, 1, seed=3))
+    data[key] = bad
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(data))
+    argv = ["powerop", "--input", str(src), "--m", "2", "--n", "1", "--level", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} = {bad!r} is not an integer\n"
+
+
+def test_powerop_input_rep_entries_are_strict(tmp_path, capsys):
+    data = to_json_dict(random_class_function(build_group("C2"), 2, 1, 1, seed=3))
+    data["classes"][1]["rep"] = [1.0]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(data))
+    argv = ["powerop", "--input", str(src), "--m", "2", "--n", "1", "--level", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: classes[1].rep = 1.0 is not an integer\n"

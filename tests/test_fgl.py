@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -240,3 +241,100 @@ def test_compose_matches_horner_oracle(p, n, trunc):
         assert [type(c) for c in got.coeffs] == [
             type(c) for c in _oracle_compose(outer, inner).coeffs
         ]
+
+
+# one-pass substitute, compose and reversion, against the per-term code they replaced
+
+
+def _oracle_substitute(poly, args):
+    """Oracle: one product chain per term, added into the sum term by term."""
+    ring, trunc, tgt_nvars = poly.ring, poly.trunc, args[0].nvars
+    powers = [[TruncatedPoly.const(ring, tgt_nvars, trunc, 1)] for _ in args]
+    out = TruncatedPoly.zero(ring, tgt_nvars, trunc)
+    for exps, c in poly.coeffs:
+        term = TruncatedPoly.const(ring, tgt_nvars, trunc, c)
+        for v, e in enumerate(exps):
+            while len(powers[v]) <= e:
+                powers[v].append(powers[v][-1].mul(args[v]))
+            term = term.mul(powers[v][e])
+        out = out.add(term)
+    return out
+
+
+def _oracle_substitute_compose(outer, inner):
+    return TruncatedSeries.from_poly(_oracle_substitute(outer.to_poly(), [inner.to_poly()]))
+
+
+def _oracle_series_reversion(s):
+    """Oracle: coefficient k of s(g) from a full composition, for each k."""
+    ring = s.ring
+    inv = TruncatedSeries.x(ring, s.trunc)
+    for k in range(2, s.trunc + 1):
+        residual = _oracle_substitute_compose(s, inv).coeffs[k]
+        if residual != ring.convert(0):
+            coeffs = list(inv.coeffs)
+            coeffs[k] = coeffs[k] - residual
+            inv = TruncatedSeries(ring, tuple(coeffs))
+    return inv
+
+
+def _same(a, b):
+    """Equal, with the same coefficient types, so JSON and repr agree too."""
+    coeffs = lambda x: [c for _, c in x.coeffs] if isinstance(x, TruncatedPoly) else x.coeffs
+    return a == b and [type(c) for c in coeffs(a)] == [type(c) for c in coeffs(b)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1)])
+def test_one_pass_series_code_matches_oracle_on_honda_logs(p, n):
+    trunc = default_truncation(p, n)
+    ring = RationalCoefficients(p)
+    log = honda_logarithm(p, n, trunc)
+    exp = series_reversion(log)
+    assert _same(exp, _oracle_series_reversion(log))
+    assert _same(log.compose(exp), _oracle_substitute_compose(log, exp))
+    assert _same(exp.compose(log), _oracle_substitute_compose(exp, log))
+    lx = TruncatedPoly.make(ring, 2, trunc, {(e, 0): c for e, c in enumerate(log.coeffs)})
+    ly = TruncatedPoly.make(ring, 2, trunc, {(0, e): c for e, c in enumerate(log.coeffs)})
+    u = [lx.add(ly)]
+    assert _same(exp.to_poly().substitute(u), _oracle_substitute(exp.to_poly(), u))
+
+
+SERIES_RINGS = [RationalCoefficients(2), RationalCoefficients(3), IntegersMod(2, 3),
+                IntegersMod(3, 2)]
+
+
+def _random_coefficient(rng, ring):
+    if isinstance(ring, RationalCoefficients):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-2 * ring.q, 2 * ring.q)  # unreduced, as callers may pass
+
+
+def _random_poly(rng, ring, nvars, trunc, terms):
+    coeffs = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, trunc) for _ in range(nvars))
+        coeffs[exps] = _random_coefficient(rng, ring)
+    return TruncatedPoly.make(ring, nvars, trunc, coeffs)
+
+
+def _random_series(rng, ring, trunc, low):
+    """Random coefficients from degree `low` up; 0 below it."""
+    coeffs = [ring.convert(0)] * low
+    coeffs += [ring.convert(_random_coefficient(rng, ring)) for _ in range(low, trunc + 1)]
+    return TruncatedSeries(ring, tuple(coeffs))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_pass_series_code_matches_oracle_on_random_input(seed):
+    rng = random.Random(seed)
+    ring = SERIES_RINGS[seed % len(SERIES_RINGS)]
+    trunc = rng.randint(3, 7)
+    nvars, tgt_nvars = rng.randint(1, 3), rng.randint(1, 3)
+    poly = _random_poly(rng, ring, nvars, trunc, rng.randint(1, 12))
+    args = [_random_poly(rng, ring, tgt_nvars, trunc, rng.randint(0, 6)) for _ in range(nvars)]
+    assert _same(poly.substitute(args), _oracle_substitute(poly, args))
+    outer, inner = _random_series(rng, ring, trunc, 0), _random_series(rng, ring, trunc, 1)
+    assert _same(outer.compose(inner), _oracle_substitute_compose(outer, inner))
+    s = _random_series(rng, ring, trunc, 2)
+    s = TruncatedSeries(ring, (s.coeffs[0], ring.convert(1)) + s.coeffs[2:])
+    assert _same(series_reversion(s), _oracle_series_reversion(s))

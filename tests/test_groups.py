@@ -17,6 +17,8 @@ from charpow.errors import (
     NotPPowerTupleError,
 )
 from charpow import groups as groups_module
+from charpow import lattice as lattice_module
+from charpow import torsion as torsion_module
 from charpow.groups import (
     DecoratedSum,
     FiniteGroup,
@@ -42,12 +44,12 @@ from charpow.groups import (
     times_hom,
     wreath_class_to_decorated,
 )
-from charpow.lattice import LatticeBasis, column_span_basis
+from charpow.lattice import LatticeBasis, column_span_basis, mat_transpose, row_hnf
 from charpow.torsion import (
     SumOfSubgroups,
+    TorsionSubgroup,
     enumerate_subgroups,
     enumerate_sums,
-    subgroup_from_annihilator,
     subgroup_from_generators,
 )
 from charpow.verify import (
@@ -780,6 +782,28 @@ def test_wreath_roundtrip_and_counts():
     assert wreath_roundtrip(classes)
 
 
+def test_wreath_split_runs_at_most_one_echelon_per_distinct_subgroup(monkeypatch):
+    # the orbit walk reads both Hermite forms off the orbit; only the first
+    # check of each distinct subgroup matrix runs an echelon
+    classes = enumerate_hom_classes(build_group("wr(C2,4)"), 2, 2)
+    assert len(classes) == 261
+    calls = []
+    echelon = lattice_module._column_echelon
+
+    def counting_echelon(entries, n):
+        calls.append(n)
+        return echelon(entries, n)
+
+    monkeypatch.setattr(lattice_module, "_column_echelon", counting_echelon)
+    torsion_module.torsion_subgroup.cache_clear()
+    subgroups = {h for c in classes for h, _ in wreath_class_to_decorated(c).summands}
+    assert len(calls) <= len(subgroups)
+    calls.clear()
+    for c in classes:
+        wreath_class_to_decorated(c)
+    assert calls == []
+
+
 def test_wreath_diagonal_tuple_gives_trivial_summands():
     g = build_group("S2")
     h = diagonal_wreath_hom(g, 3)
@@ -850,6 +874,11 @@ def test_check_fails_on_bad_instance(check):
 
 # ---------------------------------------------------------------------------
 # stabilizer lattices by one orbit walk, against the exhaustive search
+
+
+def subgroup_from_annihilator(p: int, basis: LatticeBasis) -> TorsionSubgroup:
+    """Subgroup whose annihilator lattice is the given column span."""
+    return TorsionSubgroup(p, row_hnf(mat_transpose(basis.matrix)))
 
 
 def _oracle_orbit_subgroups(perms, p, n):

@@ -263,6 +263,28 @@ def test_listing_cap_is_exact(make, count, monkeypatch):
         make()
 
 
+def test_cached_listing_is_still_refused_above_a_lowered_cap(monkeypatch):
+    # the count is checked before the listing cache is read
+    listing = enumerate_subgroups(2, 3, 3)
+    hits = torsion._subgroup_listing.cache_info().hits
+    assert enumerate_subgroups(2, 3, 3) is listing
+    assert torsion._subgroup_listing.cache_info().hits == hits + 1
+    monkeypatch.setattr(torsion, "LISTING_CAP", len(listing) - 1)
+    with pytest.raises(ListingTooLargeError, match=f"^k = 3: more than LISTING_CAP = {len(listing) - 1} "):
+        enumerate_subgroups(2, 3, 3)
+
+
+def test_interned_subgroups_are_checked_once_and_equal_fresh_ones():
+    torsion.torsion_subgroup.cache_clear()
+    h = torsion.torsion_subgroup(2, ((2, 1), (0, 2)))
+    assert torsion.torsion_subgroup(2, ((2, 1), (0, 2))) is h
+    assert h == TorsionSubgroup(2, ((2, 1), (0, 2))) and h.order == 4
+    info = torsion.torsion_subgroup.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, torsion.SUBGROUP_CACHE)
+    with pytest.raises(ValueError, match="row HNF"):  # still checked on a miss
+        torsion.torsion_subgroup(2, ((2, 3), (0, 2)))
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
