@@ -48,11 +48,12 @@ from .groups import (
     wreath_group,
 )
 from .isogeny import Isogeny, Section, psi_dual
-from .lattice import PAdicMatrix, in_rational_span, mat_det, mat_transpose, rational_span
+from .lattice import PAdicMatrix, mat_det, mat_transpose
 from .rng import SplitMix64, random_fraction
 from .torsion import max_subgroup_exponent
 
 TABLE_CAP = 65_536
+CLASSFN_CACHE = 256  # entries kept at most by each cache of this module
 
 
 def _table_size(p, n, level) -> int:
@@ -87,19 +88,19 @@ def _translation_perm(p, level, n, a_flat, on_left):
     return perm
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSFN_CACHE)
 def _left_translation_perm(p, level, n, a_flat):
     """perm[t] = index of (A . xi_t) mod p^level."""
     return _translation_perm(p, level, n, a_flat, on_left=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSFN_CACHE)
 def _right_translation_perm(p, level, n, s_flat):
     """perm[t] = index of (xi_t . S) mod p^level."""
     return _translation_perm(p, level, n, s_flat, on_left=False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSFN_CACHE)
 def _is_invertible_mod_p(p, n, a_flat):
     """Whether A is invertible mod p, so that its translations permute M_n(Z/p^level)."""
     return mat_det([a_flat[i * n:(i + 1) * n] for i in range(n)]) % p != 0
@@ -342,7 +343,7 @@ def random_stabilizer(p, n, level, rng: SplitMix64) -> StabilizerElement:
             return StabilizerElement(p, n, level, ent)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSFN_CACHE)
 def _class_positions(group: FiniteGroup, n: int, p: int):
     """Position of each canonical tuple-class representative in the class order."""
     return {c.rep: i for i, c in enumerate(enumerate_hom_classes(group, n, p))}
@@ -517,7 +518,7 @@ def _gl_generators(p, level, n):
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSFN_CACHE)
 def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     """Orbits of GL_n(Z/p^level) on the pairs (class position c, table index t).
 
@@ -691,7 +692,7 @@ def _transpose_dual(phi: Isogeny):
     return mat_transpose(phi.matrix.entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSFN_CACHE)
 def _summand_structure(target: FiniteGroup, n: int, p: int, summands):
     """(rep, ((H, alpha), ...)) for each class of the target: the sum bijection,
     which depends on the class alone."""
@@ -765,7 +766,14 @@ def total_power_op(f: ClassFunction, m: int, section: Section) -> ClassFunction:
 
 
 class TransferIdeal:
-    """Q-span of integer vectors over the tuple classes, kept as a fraction-free echelon."""
+    """Q-span of integer vectors over the tuple classes, kept as its support.
+
+    The transfer of the indicator of a class (A, B) of a two-block subgroup
+    lands on the one class of the (decorated) sum A + B, so each generator
+    has exactly one nonzero entry and the span is the coordinate subspace on
+    the keys where some generator is nonzero.  Any other generator raises
+    ValueError.
+    """
 
     def __init__(self, group: FiniteGroup, p: int, n: int, level: int, generators):
         self.group = group
@@ -774,41 +782,43 @@ class TransferIdeal:
         self.level = level
         self.keys = tuple(_class_positions(group, n, p))
         self.generators = tuple(generators)  # integer vectors over self.keys
-        self._span = rational_span(self.generators, len(self.keys))
+        support = set()
+        for gen in self.generators:
+            hits = [rep for rep, x in zip(self.keys, gen, strict=True) if x]
+            if len(hits) != 1:
+                raise ValueError(f"generator has {len(hits)} nonzero entries, not one")
+            support.add(hits[0])
+        self.support = frozenset(support)
 
     @property
     def rank(self) -> int:
-        return len(self._span)
+        return len(self.support)
 
     def quotient_dim(self) -> int:
         return len(self.keys) - self.rank
 
     def contains_vector(self, vec) -> bool:
-        """Membership of a rational vector over the keys, cleared of denominators."""
-        vec = [Fraction(x) for x in vec]
+        """Membership of a rational vector over the keys: zero at every key off the support."""
+        vec = list(vec)
         if len(vec) != len(self.keys):
             raise ValueError(
                 f"vector has {len(vec)} entries, the ideal has {len(self.keys)} keys"
             )
-        den = math.lcm(*(x.denominator for x in vec))
-        return in_rational_span(self._span, [x.numerator * den // x.denominator for x in vec])
+        return not any(x for rep, x in zip(self.keys, vec) if rep not in self.support)
 
     def contains(self, f: ClassFunction) -> bool:
-        """Membership for a C0-valued function: every evaluation column must lie in the span.
+        """Membership for a C0-valued function: f vanishes at every key off the support.
 
         It carries the statement that an indicator lies in the transfer
         ideal exactly when its class's sum of subgroups has more than one
-        summand.  Each key's table is read once; equal columns are checked
-        once.
+        summand.  f.values holds no zero table, so its keys are where f
+        is nonzero.
         """
         if f.group is not self.group:
             raise ValueError("class function does not live on the ideal's group")
         if (f.p, f.n, f.level) != (self.p, self.n, self.level):
             raise LevelMismatchError("class function parameters do not match the ideal")
-        tables = [f.value_at(rep) for rep in self.keys]
-        den = math.lcm(*(t.den for t in tables))
-        columns = np.stack([t._over(den)[0] for t in tables], axis=1).tolist()
-        return all(in_rational_span(self._span, column) for column in set(map(tuple, columns)))
+        return self.support.issuperset(f.values)
 
 
 def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):

@@ -15,11 +15,10 @@ Hermite forms are used throughout the package:
 
 Everything comes from one xgcd column echelon, ``rational_span``.  Its
 pivot columns are a fraction-free basis of the Q-span (their number is the
-rank), and ``in_rational_span`` tests membership against them.  Reduced
-off the pivots they give the column HNF; the row HNF is the column HNF of
-the anti-transpose, flipped back, and the Smith form (``snf``) alternates
-the two until the matrix is diagonal.  ``mat_inverse_fractions`` is
-U . H^-1 from the column HNF A . U = H.
+rank).  Reduced off the pivots they give the column HNF; the row HNF is
+the column HNF of the anti-transpose, flipped back, and the Smith form
+(``snf``) alternates the two until the matrix is diagonal.
+``mat_inverse_fractions`` is U . H^-1 from the column HNF A . U = H.
 """
 
 from __future__ import annotations
@@ -279,26 +278,6 @@ def _column_echelon(entries, n: int):
     h = [list(row) for row in zip(*(pivots[r] for r in range(n)))]
     _reduce_hnf_entries(h)
     return freeze(h)
-
-
-def in_rational_span(span: dict, vec) -> bool:
-    """Whether an integer vector lies in the Q-span kept by ``rational_span``.
-
-    Bottom-up, each pivot row r clears v[r] by v -> c[r]/g . v - v[r]/g . c
-    with g = gcd(c[r], v[r]); a nonzero entry at a row without a pivot puts
-    v outside the span.
-    """
-    v = list(vec)
-    for r in range(len(v) - 1, -1, -1):
-        if v[r] == 0:
-            continue
-        c = span.get(r)
-        if c is None:
-            return False
-        g = gcd(c[r], v[r])
-        a, b = c[r] // g, v[r] // g
-        v = [a * x - b * y for x, y in zip(v, c)]
-    return True
 
 
 def column_span_basis(entries) -> Matrix:

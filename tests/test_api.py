@@ -7,6 +7,8 @@ inside the definition itself do not count, nor do the re-exports of
 __init__.py.  Names are matched without types, so a dead method can hide
 behind a live one of the same name; a method that is only passed around
 uncalled would need an entry below.
+
+A second scan finds every functools cache of the package that states no bound.
 """
 
 import ast
@@ -83,3 +85,30 @@ def test_every_public_name_is_used_in_the_package():
 def test_allowlist_names_only_unused_definitions():
     # an allowed name that the package starts to use, or that is deleted, leaves the list
     assert sorted(ALLOWED) == sorted(q for q in _unused() if q in ALLOWED)
+
+
+def _unbounded_caches():
+    """Sites in src/charpow of lru_cache(maxsize=None), lru_cache(None), a bare @lru_cache or @cache.
+
+    @cache has no bound, and a bare @lru_cache hides its default of 128.
+    """
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            decorators = getattr(node, "decorator_list", [])
+            if any(name(d) in ("lru_cache", "cache") for d in decorators):
+                found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+                bound = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                if any(isinstance(b, ast.Constant) and b.value is None for b in bound):
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_every_cache_has_a_bound():
+    # an unbounded cache grows for the life of the process
+    assert _unbounded_caches() == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from charpow.classfn import (
+    CLASSFN_CACHE,
     INT64_BITS,
     TABLE_CAP,
     C0Element,
@@ -48,10 +49,12 @@ from charpow.errors import (
     TableTooLargeError,
 )
 from charpow.groups import (
+    DecoratedSum,
     Homomorphism,
     Subgroup,
     TupleClass,
     build_group,
+    delta_embed,
     enumerate_hom_classes,
     precompose,
     product_group,
@@ -60,12 +63,13 @@ from charpow.groups import (
     symmetric_group,
     identity_hom,
     wreath_class_to_decorated,
+    wreath_delta_embed,
     wreath_group,
 )
 from charpow.isogeny import Section, canonical_section, psi_dual, random_section
 from charpow.lattice import PAdicMatrix, mat_det, mat_transpose
 from charpow.rng import SplitMix64
-from charpow.torsion import enumerate_subgroups
+from charpow.torsion import SumOfSubgroups, enumerate_subgroups
 from charpow.verify import (
     diagonal_compatible,
     ideal_contains_multi_summand,
@@ -457,6 +461,18 @@ def test_translation_is_bijective_exactly_when_invertible_mod_p(p, n, level):
             assert _is_invertible_mod_p(p, n, flat) == bijective
 
 
+def test_translation_perm_cache_stays_within_its_bound():
+    # each seeded section brings isogenies of its own, so an unbounded cache
+    # kept every perm of the 150 sections, 585 of them, for the process's life
+    f = random_class_function(build_group("C2"), 2, 2, 3, seed=1)
+    misses = _left_translation_perm.cache_info().misses
+    for seed in range(150):
+        power_op(f, 2, random_section(2, 2, 1, seed))
+    info = _left_translation_perm.cache_info()
+    assert info.misses - misses > CLASSFN_CACHE
+    assert info.maxsize == CLASSFN_CACHE and info.currsize <= CLASSFN_CACHE
+
+
 def _levels_within_cap(p, n):
     level = 1
     while (p ** level) ** (n * n) <= TABLE_CAP:
@@ -647,45 +663,41 @@ def test_wreath_transfer_ideal_quotient_matches_single_summands():
         assert ideal.quotient_dim() == len(singles)
 
 
-def test_rational_span_rank_and_membership_fuzz():
-    from charpow.lattice import in_rational_span, rational_span
+@pytest.mark.parametrize(
+    "p, n, m, spec",
+    [(2, 2, 4, None), (2, 2, 3, None), (3, 1, 3, None), (2, 1, 3, "C2"), (2, 1, 4, "C2"),
+     (2, 2, 2, "S3")],
+)
+def test_transfer_generator_lands_on_the_concatenated_sum(p, n, m, spec):
+    # Tr of the indicator of (A, B) is supported on the one class whose
+    # (decorated) sum is A + B, which is why the ideal is kept as its support
+    g = spec and build_group(spec)
+    if g is None:
+        embeds = [delta_embed(i, m - i) for i in range(1, m)]
+        to_sum, join = symm_class_to_sum, SumOfSubgroups
+    else:
+        embeds = [wreath_delta_embed(g, i, m - i) for i in range(1, m)]
+        to_sum, join = wreath_class_to_decorated, DecoratedSum
+    ideal = transfer_ideal(p, n, 2, m, g)
+    key_of = {to_sum(c): c.rep for c in enumerate_hom_classes(ideal.group, n, p)}
+    sources = [c for iota in embeds for c in enumerate_hom_classes(iota.source, n, p)]
+    assert len(sources) == len(ideal.generators)
+    for cls, gen in zip(sources, ideal.generators):
+        a, b = (to_sum(half) for half in split_product_class(cls))
+        key = key_of[join(a.summands + b.summands)]
+        assert [rep for rep, x in zip(ideal.keys, gen) if x] == [key]
 
-    def rank_oracle(rows):
-        m = [list(map(Fraction, r)) for r in rows]
-        rank, col = 0, 0
-        ncols = len(m[0])
-        while rank < len(m) and col < ncols:
-            piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-            if piv is None:
-                col += 1
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pv = m[rank][col]
-            m[rank] = [x / pv for x in m[rank]]
-            for r in range(len(m)):
-                if r != rank and m[r][col] != 0:
-                    c = m[r][col]
-                    m[r] = [a - c * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-            col += 1
-        return rank
 
-    rng = SplitMix64(12345)
-    for _ in range(120):
-        nrows, ncols = 1 + rng.below(6), 1 + rng.below(6)
-        rows = [[rng.below(7) - 3 for _ in range(ncols)] for _ in range(nrows)]
-        span = rational_span(rows, ncols)
-        rank = rank_oracle(rows)
-        assert len(span) == rank
-        coeffs = [rng.below(5) - 2 for _ in range(nrows)]
-        comb = [
-            sum(coeffs[i] * rows[i][j] for i in range(nrows)) for j in range(ncols)
-        ]
-        assert in_rational_span(span, comb)
-        for free in range(ncols):
-            shifted = list(comb)
-            shifted[free] += 1
-            assert in_rational_span(span, shifted) == (rank_oracle(rows + [shifted]) == rank)
+@pytest.mark.parametrize(
+    "gen, message",
+    [([0, 0, 0, 0], "has 0 nonzero"), ([1, 0, 2, 0], "has 2 nonzero"),
+     ([1, 0, 0], "shorter"), ([1, 0, 0, 0, 0], "longer")],
+)
+def test_transfer_ideal_rejects_a_generator_without_one_nonzero_entry(gen, message):
+    ideal = transfer_ideal(2, 1, 2, 4)
+    assert len(ideal.keys) == 4
+    with pytest.raises(ValueError, match=message):
+        TransferIdeal(ideal.group, 2, 1, 2, ideal.generators + (gen,))
 
 
 def test_transfer_ideal_contains_constant_multiples():

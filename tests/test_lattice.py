@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from charpow.lattice import (
     PAdicMatrix,
     column_span_basis,
     hnf,
-    in_rational_span,
     int_valuation,
     mat_det,
     mat_inverse_fractions,
@@ -297,6 +297,26 @@ def _oracle_in_span(vec, basis):
     return not _oracle_reduce_against(_sparse(vec), basis)
 
 
+def in_rational_span(span: dict, vec) -> bool:
+    """Whether an integer vector lies in the Q-span kept by ``rational_span``.
+
+    Bottom-up, each pivot row r clears v[r] by v -> c[r]/g . v - v[r]/g . c
+    with g = gcd(c[r], v[r]); a nonzero entry at a row without a pivot puts
+    v outside the span.
+    """
+    v = list(vec)
+    for r in range(len(v) - 1, -1, -1):
+        if v[r] == 0:
+            continue
+        c = span.get(r)
+        if c is None:
+            return False
+        g = math.gcd(c[r], v[r])
+        a, b = c[r] // g, v[r] // g
+        v = [a * x - b * y for x, y in zip(v, c)]
+    return True
+
+
 def _cleared(vec):
     """An integer multiple of a rational vector."""
     den = math.lcm(*(Fraction(x).denominator for x in vec))
@@ -339,6 +359,87 @@ def test_rational_span_matches_row_reduce_oracle_on_transfer_ideal():
         probes.append(comb)
     for vec in probes:
         assert ideal.contains_vector(vec) == _oracle_in_span(vec, basis)
+
+
+def test_rational_span_rank_and_membership_fuzz():
+    def rank_oracle(rows):
+        m = [list(map(Fraction, r)) for r in rows]
+        rank, col = 0, 0
+        ncols = len(m[0])
+        while rank < len(m) and col < ncols:
+            piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+            if piv is None:
+                col += 1
+                continue
+            m[rank], m[piv] = m[piv], m[rank]
+            pv = m[rank][col]
+            m[rank] = [x / pv for x in m[rank]]
+            for r in range(len(m)):
+                if r != rank and m[r][col] != 0:
+                    c = m[r][col]
+                    m[r] = [a - c * b for a, b in zip(m[r], m[rank])]
+            rank += 1
+            col += 1
+        return rank
+
+    rng = SplitMix64(12345)
+    for _ in range(120):
+        nrows, ncols = 1 + rng.below(6), 1 + rng.below(6)
+        rows = [[rng.below(7) - 3 for _ in range(ncols)] for _ in range(nrows)]
+        span = rational_span(rows, ncols)
+        rank = rank_oracle(rows)
+        assert len(span) == rank
+        coeffs = [rng.below(5) - 2 for _ in range(nrows)]
+        comb = [
+            sum(coeffs[i] * rows[i][j] for i in range(nrows)) for j in range(ncols)
+        ]
+        assert in_rational_span(span, comb)
+        for free in range(ncols):
+            shifted = list(comb)
+            shifted[free] += 1
+            assert in_rational_span(span, shifted) == (rank_oracle(rows + [shifted]) == rank)
+
+
+def _echelon_contains(span, keys, f):
+    """Oracle of TransferIdeal.contains: every evaluation column of f lies in the echelon's span."""
+    columns = zip(*(f.value_at(rep).values for rep in keys))
+    return all(in_rational_span(span, _cleared(col)) for col in set(columns))
+
+
+@pytest.mark.parametrize(
+    "p, n, level, m, spec",
+    [(2, 2, 2, 4, None), (2, 2, 2, 3, None), (3, 1, 1, 3, None), (2, 1, 2, 3, "C2"),
+     (2, 1, 2, 4, "C2"), (2, 2, 2, 2, "S3")],
+)
+def test_transfer_ideal_support_matches_echelon_oracle(p, n, level, m, spec):
+    from charpow.classfn import c0_coordinate, indicator, transfer_ideal
+    from charpow.groups import build_group, enumerate_hom_classes
+
+    ideal = transfer_ideal(p, n, level, m, spec and build_group(spec))
+    size = len(ideal.keys)
+    span = rational_span(ideal.generators, size)
+    assert (ideal.rank, ideal.quotient_dim()) == (len(span), size - len(span))
+    probes = [[int(j == k) for j in range(size)] for k in range(size)]
+    rng = SplitMix64(100 * p + m)
+    for _ in range(6):
+        picks = [ideal.generators[rng.below(len(ideal.generators))] for _ in range(4)]
+        coeffs = [rng.below(5) - 2 for _ in picks]
+        comb = [sum(c * g[j] for c, g in zip(coeffs, picks)) for j in range(size)]
+        probes.append(comb)
+        comb = list(comb)
+        comb[rng.below(size)] += 1
+        probes.append(comb)
+    for vec in probes:
+        assert ideal.contains_vector(vec) == in_rational_span(span, vec)
+    classes = enumerate_hom_classes(ideal.group, n, p)
+    coord = c0_coordinate(p, n, level)
+    functions = [indicator(c, level, value) for c in classes for value in (None, coord)]
+    functions += [
+        indicator(a, level).add(indicator(b, level, coord))
+        for a, b in itertools.combinations(classes, 2)
+    ]
+    for f in functions:
+        assert ideal.contains(f) == _echelon_contains(span, ideal.keys, f)
 
 
 def _seeded_nonsingular(rng, n):
