@@ -77,7 +77,7 @@ from .classfn import (
 )
 from .fgl import (
     FGL,
-    TruncatedSeries,
+    TruncatedPoly,
     build_honda,
     build_multiplicative,
     quotient_ring_rank,

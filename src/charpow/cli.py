@@ -281,7 +281,7 @@ def _check_ranges(args):
     """
     if not is_prime(args.p):
         raise ValueError(f"p = {args.p} is not prime")
-    for name, low in (("n", 1), ("level", 1), ("m", 0), ("k", 0)):
+    for name, low in (("n", 1), ("level", 1), ("m", 0), ("k", 0), ("max_m", 1)):
         value = getattr(args, name, low)
         if value < low:
             raise ValueError(f"{name} = {value} must be at least {low}")

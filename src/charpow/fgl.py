@@ -3,6 +3,8 @@
 Coefficients live in one of two ring models: rationals viewed p-locally
 (units are the fractions of valuation zero) or integers mod p^N.  All
 polynomial arithmetic is exact and truncated at a fixed total degree D.
+A power series in one variable is a `TruncatedPoly` with nvars = 1, and
+the composition s(t) is `s.substitute([t])`, the one substitution.
 """
 
 from __future__ import annotations
@@ -113,13 +115,6 @@ class TruncatedPoly:
             out[exps] = out.get(exps, 0) + c
         return TruncatedPoly.make(self.ring, self.nvars, self.trunc, out)
 
-    def scale(self, c) -> "TruncatedPoly":
-        c = self.ring.convert(c)
-        return TruncatedPoly.make(
-            self.ring, self.nvars, self.trunc,
-            {exps: c * v for exps, v in self.coeffs},
-        )
-
     def mul(self, other: "TruncatedPoly") -> "TruncatedPoly":
         out = _mul_into({}, self.coeffs, other.coeffs, self.trunc)
         return TruncatedPoly.make(self.ring, self.nvars, self.trunc, out)
@@ -166,67 +161,6 @@ def _mul_into(out: dict, left, right, trunc: int) -> dict:
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
-    """Univariate series, exact modulo x^{trunc+1}."""
-
-    ring: object
-    coeffs: tuple  # degrees 0..trunc
-
-    @staticmethod
-    def from_poly(poly: TruncatedPoly) -> "TruncatedSeries":
-        assert poly.nvars == 1
-        out = [poly.ring.convert(0)] * (poly.trunc + 1)
-        for (e,), c in poly.coeffs:
-            out[e] = c
-        return TruncatedSeries(poly.ring, tuple(out))
-
-    def to_poly(self) -> TruncatedPoly:
-        return TruncatedPoly.make(
-            self.ring, 1, self.trunc, {(e,): c for e, c in enumerate(self.coeffs)}
-        )
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def zero(ring, trunc):
-        return TruncatedSeries(ring, (ring.convert(0),) * (trunc + 1))
-
-    @staticmethod
-    def x(ring, trunc):
-        out = [ring.convert(0)] * (trunc + 1)
-        out[1] = ring.convert(1)
-        return TruncatedSeries(ring, tuple(out))
-
-    def add(self, other):
-        return TruncatedSeries(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def mul(self, other):
-        d = self.trunc
-        out = [0] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > d:
-                    break
-                out[i + j] += a * b
-        return TruncatedSeries(self.ring, tuple(self.ring.convert(c) for c in out))
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(x)); inner must have zero constant term."""
-        assert inner.coeffs[0] == self.ring.convert(0)
-        return TruncatedSeries.from_poly(self.to_poly().substitute([inner.to_poly()]))
-
-    def is_zero(self) -> bool:
-        z = self.ring.convert(0)
-        return all(c == z for c in self.coeffs)
-
-
-@dataclass(frozen=True)
 class FGL:
     """Formal group law F(x, y) over a coefficient ring, truncated at degree D."""
 
@@ -235,17 +169,17 @@ class FGL:
     law: TruncatedPoly
     name: str
 
-    def plus(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-        return TruncatedSeries.from_poly(self.law.substitute([a.to_poly(), b.to_poly()]))
+    def plus(self, a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
+        return self.law.substitute([a, b])
 
-    def i_series(self, i: int) -> TruncatedSeries:
+    def i_series(self, i: int) -> TruncatedPoly:
         cache = self.__dict__.setdefault("_i_cache", {})
         if i not in cache:
             if i == 0:
-                cache[i] = TruncatedSeries.zero(self.ring, self.trunc)
+                cache[i] = TruncatedPoly.zero(self.ring, 1, self.trunc)
             else:
                 cache[i] = self.plus(
-                    self.i_series(i - 1), TruncatedSeries.x(self.ring, self.trunc)
+                    self.i_series(i - 1), TruncatedPoly.var(self.ring, 1, self.trunc, 0)
                 )
         return cache[i]
 
@@ -290,38 +224,39 @@ def build_multiplicative(ring, trunc: int) -> FGL:
     return FGL(ring, trunc, law, "multiplicative")
 
 
-def honda_logarithm(p: int, n: int, trunc: int) -> TruncatedSeries:
+def honda_logarithm(p: int, n: int, trunc: int) -> TruncatedPoly:
     """log(x) = sum x^{p^{ni}} / p^i, truncated."""
-    ring = RationalCoefficients(p)
-    coeffs = [Fraction(0)] * (trunc + 1)
+    coeffs = {}
     i = 0
     while p ** (n * i) <= trunc:
-        coeffs[p ** (n * i)] = Fraction(1, p ** i)
+        coeffs[(p ** (n * i),)] = Fraction(1, p ** i)
         i += 1
-    return TruncatedSeries(ring, tuple(coeffs))
+    return TruncatedPoly.make(RationalCoefficients(p), 1, trunc, coeffs)
 
 
-def series_reversion(s: TruncatedSeries) -> TruncatedSeries:
+def series_reversion(s: TruncatedPoly) -> TruncatedPoly:
     """Compositional inverse of a series with s(0) = 0 and unit linear term.
 
     [x^k] s(g) = g_k + sum_{i >= 2} s_i [x^k] g^i, and [x^k] g^i (i >= 2)
     involves only g_1..g_{k-1}; so one pass over k fills in column k of
-    every power g^i, then g_k.
+    every power g^i, then g_k.  The recursion runs on dense lists of
+    coefficients, degrees 0..trunc.
     """
     ring = s.ring
     d = s.trunc
     zero = ring.convert(0)
-    assert s.coeffs[0] == zero and s.coeffs[1] == ring.convert(1)
-    inv = list(TruncatedSeries.x(ring, d).coeffs)
+    coeffs = [dict(s.coeffs).get((e,), zero) for e in range(d + 1)]
+    assert coeffs[0] == zero and coeffs[1] == ring.convert(1)
+    inv = [zero, ring.convert(1)] + [zero] * (d - 1)
     powers = [None, inv] + [[zero] * (d + 1) for _ in range(2, d + 1)]  # powers[i][k] = [x^k] g^i
     for k in range(2, d + 1):
         for i in range(2, k + 1):
             prev = powers[i - 1]
             powers[i][k] = ring.convert(sum(inv[j] * prev[k - j] for j in range(1, k - i + 2)))
-        residual = ring.convert(sum(s.coeffs[i] * powers[i][k] for i in range(2, k + 1)))
+        residual = ring.convert(sum(coeffs[i] * powers[i][k] for i in range(2, k + 1)))
         if residual != zero:
             inv[k] = inv[k] - residual
-    return TruncatedSeries(ring, tuple(inv))
+    return TruncatedPoly.make(ring, 1, d, {(e,): c for e, c in enumerate(inv)})
 
 
 def build_honda_rational(p: int, n: int, trunc: int) -> FGL:
@@ -332,15 +267,10 @@ def build_honda_rational(p: int, n: int, trunc: int) -> FGL:
     ring = RationalCoefficients(p)
     log = honda_logarithm(p, n, trunc)
     exp = series_reversion(log)
-    check = log.compose(exp)
-    assert check == TruncatedSeries.x(ring, trunc), "exp is not inverse to log"
-    lx = TruncatedPoly.make(
-        ring, 2, trunc, {(e, 0): c for e, c in enumerate(log.coeffs)}
-    )
-    ly = TruncatedPoly.make(
-        ring, 2, trunc, {(0, e): c for e, c in enumerate(log.coeffs)}
-    )
-    law = exp.to_poly().substitute([lx.add(ly)])
+    check = log.substitute([exp])
+    assert check == TruncatedPoly.var(ring, 1, trunc, 0), "exp is not inverse to log"
+    x, y = (TruncatedPoly.var(ring, 2, trunc, i) for i in range(2))
+    law = exp.substitute([log.substitute([x]).add(log.substitute([y]))])
     for _, c in law.coeffs:
         if Fraction(c).denominator % p == 0:
             raise NonIntegralCoefficientError(
@@ -357,13 +287,15 @@ def build_honda(p: int, n: int, trunc: int) -> FGL:
     return build_honda_rational(p, n, trunc).reduce(IntegersMod(p, 1))
 
 
-def weierstrass_degree(g: TruncatedSeries) -> int:
-    """Smallest degree carrying a unit coefficient; g must vanish at 0."""
-    ring = g.ring
-    if g.coeffs[0] != ring.convert(0):
+def weierstrass_degree(g: TruncatedPoly) -> int:
+    """Smallest degree carrying a unit coefficient; g must be a series in one
+    variable that vanishes at 0."""
+    if g.nvars != 1:
+        raise ValueError(f"a series has one variable, not {g.nvars}")
+    if g.coeffs and g.coeffs[0][0] == (0,):
         raise ValueError("series must vanish at the origin")
-    for d in range(1, g.trunc + 1):
-        if ring.is_unit(g.coeffs[d]):
+    for (d,), c in g.coeffs:
+        if g.ring.is_unit(c):
             return d
     raise NoUnitCoefficientError(
         f"no unit coefficient up to degree {g.trunc}; raise the truncation"

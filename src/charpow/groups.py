@@ -713,16 +713,10 @@ def product_delta_homs(g: FiniteGroup, i: int, j: int):
     the block embedding, the second in (G x S_i) x (G x S_j) through the
     diagonal on G.
     """
-    de = delta_embed(i, j)
-    si, sj, sm = symmetric_group(i), symmetric_group(j), symmetric_group(i + j)
-    source = product_group(g, de.source)
-    into_big = Homomorphism(
-        source,
-        product_group(g, sm),
-        tuple(a * sm.order + b for a in range(g.order) for b in de.mapping),
-    )
+    into_big = times_hom(identity_hom(g), delta_embed(i, j))
+    si, sj = symmetric_group(i), symmetric_group(j)
     into_split = Homomorphism(
-        source,
+        into_big.source,
         product_group(product_group(g, si), product_group(g, sj)),
         tuple(
             (a * si.order + s) * (g.order * sj.order) + a * sj.order + t

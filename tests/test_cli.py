@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -214,13 +215,16 @@ def test_table_above_cap_exit_3(capsys):
         (["powerop", "--group", "S1", "--m", "-1"], "m"),
         (["enumerate", "--kind", "sums", "--m", "-1"], "m"),
         (["enumerate", "--kind", "subgroups", "--k", "-1"], "k"),
+        # a verify suite run at no m would pass vacuously, "0/0 properties passed"
+        (["verify", "--suite", "invariance", "--max-m", "0"], "max_m"),
+        (["verify", "--suite", "invariance", "--max-m", "-3"], "max_m"),
     ],
 )
 def test_parameter_below_bound_exit_2(argv, name, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith(f"error: {name} = ")
+    assert re.fullmatch(rf"error: {name} = {argv[-1]} must be at least \d\n", err)
 
 
 def test_verify_stabilizer_max_m_1_exit_0(capsys):

@@ -9,7 +9,6 @@ from charpow.fgl import (
     IntegersMod,
     RationalCoefficients,
     TruncatedPoly,
-    TruncatedSeries,
     build_honda,
     build_honda_rational,
     build_multiplicative,
@@ -31,29 +30,34 @@ from charpow.verify import (
 Q2 = RationalCoefficients(2)
 
 
+def _series(ring, trunc, coeffs):
+    """The series sum c x^e over coeffs {e: c}, as a one-variable TruncatedPoly."""
+    return TruncatedPoly.make(ring, 1, trunc, {(e,): c for e, c in coeffs.items()})
+
+
 def test_series_arithmetic():
-    x = TruncatedSeries.x(Q2, 5)
+    x = TruncatedPoly.var(Q2, 1, 5, 0)
     sq = x.mul(x)
-    assert sq.coeffs == (0, 0, 1, 0, 0, 0)
-    assert sq.compose(sq).coeffs == (0, 0, 0, 0, 1, 0)
+    assert sq == _series(Q2, 5, {2: 1})
+    assert sq.substitute([sq]) == _series(Q2, 5, {4: 1})
 
 
 def test_series_reversion_oracle():
     # f = x + x^2: inverse satisfies f(g(x)) = x; classical expansion
     # g = x - x^2 + 2x^3 - 5x^4 + ...
-    f = TruncatedSeries(Q2, (0, 1, 1, 0, 0))
+    f = _series(Q2, 4, {1: 1, 2: 1})
     g = series_reversion(f)
-    assert f.compose(g) == TruncatedSeries.x(Q2, 4)
-    assert g.coeffs[:4] == (0, 1, -1, 2)
+    assert f.substitute([g]) == TruncatedPoly.var(Q2, 1, 4, 0)
+    assert g == _series(Q2, 4, {1: 1, 2: -1, 3: 2, 4: -5})
 
 
 def test_additive_and_multiplicative_i_series():
     add = _law({(1, 0): 1, (0, 1): 1}, 6)  # x + y
-    assert add.i_series(2).coeffs == (0, 2, 0, 0, 0, 0, 0)
+    assert add.i_series(2) == _series(Q2, 6, {1: 2})
     mult = build_multiplicative(Q2, 6)
     assert multiplicative_two_series(mult)
     # [3](x) = (1+x)^3 - 1
-    assert mult.i_series(3).coeffs == (0, 3, 3, 1, 0, 0, 0)
+    assert mult.i_series(3) == _series(Q2, 6, {1: 3, 2: 3, 3: 1})
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -65,13 +69,20 @@ def test_multiplicative_weierstrass_degree(p):
 
 
 def test_weierstrass_degree_basics():
-    x = TruncatedSeries.x(Q2, 4)
+    x = TruncatedPoly.var(Q2, 1, 4, 0)
     assert weierstrass_degree(x) == 1
-    allzero = TruncatedSeries.zero(IntegersMod(2, 2), 4)
+    allzero = TruncatedPoly.zero(IntegersMod(2, 2), 1, 4)
     with pytest.raises(NoUnitCoefficientError):
         weierstrass_degree(allzero)
     with pytest.raises(ValueError):
-        weierstrass_degree(TruncatedSeries(Q2, (1, 1, 0, 0, 0)))
+        weierstrass_degree(_series(Q2, 4, {0: 1, 1: 1}))
+
+
+def test_weierstrass_degree_rejects_two_variables():
+    # x vanishes at the origin and has a unit coefficient, but is no series in one variable
+    for poly in (TruncatedPoly.var(Q2, 2, 4, 0), build_multiplicative(Q2, 4).law):
+        with pytest.raises(ValueError, match="one variable, not 2"):
+            weierstrass_degree(poly)
 
 
 def test_honda_log_exp_oracle():
@@ -82,15 +93,11 @@ def test_honda_log_exp_oracle():
         law = build_honda_rational(p, n, trunc)
         log = honda_logarithm(p, n, trunc)
         exp = series_reversion(log)
-        p_log = TruncatedSeries(log.ring, tuple(p * c for c in log.coeffs))
-        via_logexp = exp.compose(p_log)
+        p_log = TruncatedPoly.make(log.ring, 1, trunc, {e: p * c for e, c in log.coeffs})
+        via_logexp = exp.substitute([p_log])
         assert law.i_series(p) == via_logexp
         reduced = law.reduce(IntegersMod(p, 1))
-        ps = reduced.i_series(p)
-        expected = tuple(
-            1 if e == p ** n else 0 for e in range(trunc + 1)
-        )
-        assert ps.coeffs == expected
+        assert reduced.i_series(p) == _series(IntegersMod(p, 1), trunc, {p ** n: 1})
 
 
 def test_honda_axioms_and_associativity():
@@ -165,6 +172,8 @@ BAD_INSTANCES = {
     # the multiplicative law has height 1
     "quotient_rank": lambda: quotient_rank(build_multiplicative(Q2, 4), [1], 2),
     "has_height": lambda: has_height(build_multiplicative(IntegersMod(2, 1), 5), 2),
+    # its first term 2x sits at degree p^0 = 1 but 2 is no unit mod 4
+    "has_height_unit": lambda: has_height(build_multiplicative(IntegersMod(2, 2), 5), 0),
     # x + y + x y^2 is not commutative
     "fgl_axioms": lambda: fgl_axioms(_law({(1, 0): 1, (0, 1): 1, (1, 2): 1})),
     # x + y + x^2 y^2 is commutative but not associative
@@ -182,19 +191,46 @@ def test_check_fails_on_bad_instance(check):
     assert BAD_INSTANCES[check]() is False
 
 
-# composition through substitute, against the Horner loops it replaced
+# composition through substitute, against the Horner loops it replaced; the series
+# oracles keep their own arithmetic on dense coefficient lists, degrees 0..trunc
+
+
+def _dense(s):
+    """The coefficients of a one-variable series, degrees 0..trunc."""
+    zero = s.ring.convert(0)
+    return [dict(s.coeffs).get((e,), zero) for e in range(s.trunc + 1)]
+
+
+def _from_dense(ring, coeffs):
+    return _series(ring, len(coeffs) - 1, dict(enumerate(coeffs)))
+
+
+def _dense_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def _dense_mul(ring, a, b):
+    """a . b, truncated at the length of a."""
+    d = len(a) - 1
+    out = [0] * (d + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if i + j > d:
+                break
+            out[i + j] += x * y
+    return [ring.convert(c) for c in out]
 
 
 def _oracle_compose(outer, inner):
     """Oracle: outer(inner(x)) by Horner from the top degree down."""
-    ring, d = outer.ring, outer.trunc
-    zero = ring.convert(0)
-    out = TruncatedSeries.zero(ring, d)
-    for c in reversed(outer.coeffs[1:]):
-        term = TruncatedSeries(ring, (ring.convert(c),) + (zero,) * d)
-        out = out.add(term).mul(inner)
-    const = TruncatedSeries(ring, (ring.convert(outer.coeffs[0]),) + (zero,) * d)
-    return out.add(const)
+    ring, f, g = outer.ring, _dense(outer), _dense(inner)
+    zeros = [ring.convert(0)] * outer.trunc
+    out = [ring.convert(0)] + zeros
+    for c in reversed(f[1:]):
+        out = _dense_mul(ring, _dense_add(out, [c] + zeros), g)
+    return _from_dense(ring, _dense_add(out, [f[0]] + zeros))
 
 
 def _oracle_honda_law(p, n, trunc):
@@ -202,11 +238,11 @@ def _oracle_honda_law(p, n, trunc):
     ring = RationalCoefficients(p)
     log = honda_logarithm(p, n, trunc)
     exp = series_reversion(log)
-    lx = TruncatedPoly.make(ring, 2, trunc, {(e, 0): c for e, c in enumerate(log.coeffs)})
-    ly = TruncatedPoly.make(ring, 2, trunc, {(0, e): c for e, c in enumerate(log.coeffs)})
+    lx = TruncatedPoly.make(ring, 2, trunc, {(e, 0): c for (e,), c in log.coeffs})
+    ly = TruncatedPoly.make(ring, 2, trunc, {(0, e): c for (e,), c in log.coeffs})
     u = lx.add(ly)
     law = TruncatedPoly.zero(ring, 2, trunc)
-    for c in reversed(exp.coeffs[1:]):
+    for c in reversed(_dense(exp)[1:]):
         law = law.add(TruncatedPoly.const(ring, 2, trunc, c)).mul(u)
     return law
 
@@ -236,11 +272,7 @@ def test_compose_matches_horner_oracle(p, n, trunc):
     mod_p = [reduced.i_series(2), reduced.i_series(p), reduced.i_series(3)]
     pairs += [(a, b) for a in mod_p for b in mod_p]
     for outer, inner in pairs:
-        got = outer.compose(inner)
-        assert got == _oracle_compose(outer, inner)
-        assert [type(c) for c in got.coeffs] == [
-            type(c) for c in _oracle_compose(outer, inner).coeffs
-        ]
+        assert _same(outer.substitute([inner]), _oracle_compose(outer, inner))
 
 
 # one-pass substitute, compose and reversion, against the per-term code they replaced
@@ -261,27 +293,34 @@ def _oracle_substitute(poly, args):
     return out
 
 
+def _dense_compose(ring, f, g):
+    """f(g(x)) on dense lists: the term c x^e of f adds c . g^e, by one more product per e."""
+    power = [ring.convert(1)] + [ring.convert(0)] * (len(f) - 1)
+    out = [ring.convert(0)] * len(f)
+    for c in f:
+        out = _dense_add(out, [ring.convert(c * a) for a in power])
+        power = _dense_mul(ring, power, g)
+    return out
+
+
 def _oracle_substitute_compose(outer, inner):
-    return TruncatedSeries.from_poly(_oracle_substitute(outer.to_poly(), [inner.to_poly()]))
+    return _from_dense(outer.ring, _dense_compose(outer.ring, _dense(outer), _dense(inner)))
 
 
 def _oracle_series_reversion(s):
     """Oracle: coefficient k of s(g) from a full composition, for each k."""
-    ring = s.ring
-    inv = TruncatedSeries.x(ring, s.trunc)
+    ring, f = s.ring, _dense(s)
+    inv = _dense(TruncatedPoly.var(ring, 1, s.trunc, 0))
     for k in range(2, s.trunc + 1):
-        residual = _oracle_substitute_compose(s, inv).coeffs[k]
+        residual = _dense_compose(ring, f, inv)[k]
         if residual != ring.convert(0):
-            coeffs = list(inv.coeffs)
-            coeffs[k] = coeffs[k] - residual
-            inv = TruncatedSeries(ring, tuple(coeffs))
-    return inv
+            inv[k] = inv[k] - residual
+    return _from_dense(ring, inv)
 
 
 def _same(a, b):
     """Equal, with the same coefficient types, so JSON and repr agree too."""
-    coeffs = lambda x: [c for _, c in x.coeffs] if isinstance(x, TruncatedPoly) else x.coeffs
-    return a == b and [type(c) for c in coeffs(a)] == [type(c) for c in coeffs(b)]
+    return a == b and [type(c) for _, c in a.coeffs] == [type(c) for _, c in b.coeffs]
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1)])
@@ -291,12 +330,12 @@ def test_one_pass_series_code_matches_oracle_on_honda_logs(p, n):
     log = honda_logarithm(p, n, trunc)
     exp = series_reversion(log)
     assert _same(exp, _oracle_series_reversion(log))
-    assert _same(log.compose(exp), _oracle_substitute_compose(log, exp))
-    assert _same(exp.compose(log), _oracle_substitute_compose(exp, log))
-    lx = TruncatedPoly.make(ring, 2, trunc, {(e, 0): c for e, c in enumerate(log.coeffs)})
-    ly = TruncatedPoly.make(ring, 2, trunc, {(0, e): c for e, c in enumerate(log.coeffs)})
+    assert _same(log.substitute([exp]), _oracle_substitute_compose(log, exp))
+    assert _same(exp.substitute([log]), _oracle_substitute_compose(exp, log))
+    lx = TruncatedPoly.make(ring, 2, trunc, {(e, 0): c for (e,), c in log.coeffs})
+    ly = TruncatedPoly.make(ring, 2, trunc, {(0, e): c for (e,), c in log.coeffs})
     u = [lx.add(ly)]
-    assert _same(exp.to_poly().substitute(u), _oracle_substitute(exp.to_poly(), u))
+    assert _same(exp.substitute(u), _oracle_substitute(exp, u))
 
 
 SERIES_RINGS = [RationalCoefficients(2), RationalCoefficients(3), IntegersMod(2, 3),
@@ -321,7 +360,7 @@ def _random_series(rng, ring, trunc, low):
     """Random coefficients from degree `low` up; 0 below it."""
     coeffs = [ring.convert(0)] * low
     coeffs += [ring.convert(_random_coefficient(rng, ring)) for _ in range(low, trunc + 1)]
-    return TruncatedSeries(ring, tuple(coeffs))
+    return _from_dense(ring, coeffs)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -334,7 +373,7 @@ def test_one_pass_series_code_matches_oracle_on_random_input(seed):
     args = [_random_poly(rng, ring, tgt_nvars, trunc, rng.randint(0, 6)) for _ in range(nvars)]
     assert _same(poly.substitute(args), _oracle_substitute(poly, args))
     outer, inner = _random_series(rng, ring, trunc, 0), _random_series(rng, ring, trunc, 1)
-    assert _same(outer.compose(inner), _oracle_substitute_compose(outer, inner))
-    s = _random_series(rng, ring, trunc, 2)
-    s = TruncatedSeries(ring, (s.coeffs[0], ring.convert(1)) + s.coeffs[2:])
+    assert _same(outer.substitute([inner]), _oracle_substitute_compose(outer, inner))
+    # zero below degree 2, so adding x makes the linear coefficient 1
+    s = _random_series(rng, ring, trunc, 2).add(TruncatedPoly.var(ring, 1, trunc, 0))
     assert _same(series_reversion(s), _oracle_series_reversion(s))
