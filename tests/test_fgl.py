@@ -174,6 +174,8 @@ BAD_INSTANCES = {
     "has_height": lambda: has_height(build_multiplicative(IntegersMod(2, 1), 5), 2),
     # its first term 2x sits at degree p^0 = 1 but 2 is no unit mod 4
     "has_height_unit": lambda: has_height(build_multiplicative(IntegersMod(2, 2), 5), 0),
+    # [2](x) = x^4 mod 2 is zero through degree 3: no first term to read
+    "has_height_truncated": lambda: has_height(build_honda(2, 2, 3), 2),
     # x + y + x y^2 is not commutative
     "fgl_axioms": lambda: fgl_axioms(_law({(1, 0): 1, (0, 1): 1, (1, 2): 1})),
     # x + y + x^2 y^2 is commutative but not associative
