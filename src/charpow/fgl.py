@@ -126,7 +126,8 @@ class TruncatedPoly:
         F = sum_e args[0]^e F_e(args[1], ...) costs one product per exponent
         e, and everything is summed into one dict that make converts once.
         """
-        assert len(args) == self.nvars
+        if len(args) != self.nvars:
+            raise ValueError(f"{len(args)} arguments for a series in {self.nvars} variables")
         ring, trunc, tgt_nvars = self.ring, self.trunc, args[0].nvars
         powers = [[TruncatedPoly.const(ring, tgt_nvars, trunc, 1)] for _ in args]
 
@@ -246,7 +247,10 @@ def series_reversion(s: TruncatedPoly) -> TruncatedPoly:
     d = s.trunc
     zero = ring.convert(0)
     coeffs = [dict(s.coeffs).get((e,), zero) for e in range(d + 1)]
-    assert coeffs[0] == zero and coeffs[1] == ring.convert(1)
+    if coeffs[0] != zero or coeffs[1] != ring.convert(1):
+        raise ValueError(
+            f"s(0) = {coeffs[0]} and linear coefficient {coeffs[1]}: reversion needs 0 and 1"
+        )
     inv = [zero, ring.convert(1)] + [zero] * (d - 1)
     powers = [None, inv] + [[zero] * (d + 1) for _ in range(2, d + 1)]  # powers[i][k] = [x^k] g^i
     for k in range(2, d + 1):
@@ -267,8 +271,8 @@ def build_honda_rational(p: int, n: int, trunc: int) -> FGL:
     ring = RationalCoefficients(p)
     log = honda_logarithm(p, n, trunc)
     exp = series_reversion(log)
-    check = log.substitute([exp])
-    assert check == TruncatedPoly.var(ring, 1, trunc, 0), "exp is not inverse to log"
+    if log.substitute([exp]) != TruncatedPoly.var(ring, 1, trunc, 0):
+        raise NonIntegralCoefficientError("honda exp is not inverse to log")
     x, y = (TruncatedPoly.var(ring, 2, trunc, i) for i in range(2))
     law = exp.substitute([log.substitute([x]).add(log.substitute([y]))])
     for _, c in law.coeffs:

@@ -26,7 +26,12 @@ from .lattice import (
     solve_integer,
 )
 from .rng import SplitMix64, random_unimodular
-from .torsion import TorsionSubgroup, enumerate_subgroups, subgroup_from_kernel_matrix
+from .torsion import (
+    TorsionSubgroup,
+    enumerate_subgroups,
+    image_subgroup,
+    subgroup_from_kernel_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,6 @@ def sigma_solve(
     sigma is the conjugator of the stabilizer action: it carries the
     section's isogeny at H, after gamma, to its isogeny at gamma H.
     """
-    from .torsion import image_subgroup
-
     gh = image_subgroup(gamma, h)
     a_gh = section.isogeny_for(gh).matrix.entries
     a_h = section.isogeny_for(h).matrix.entries

@@ -17,18 +17,18 @@ Everything comes from one xgcd column echelon, ``rational_span``.  Its
 pivot columns are a fraction-free basis of the Q-span (their number is the
 rank).  Reduced off the pivots they give the column HNF; the row HNF is
 the column HNF of the anti-transpose, flipped back, and the Smith form
-(``snf``) alternates the two until the matrix is diagonal.
-``mat_inverse_fractions`` is U . H^-1 from the column HNF A . U = H.
+(``snf``) alternates the two until the matrix is diagonal.  Back
+substitution on a triangular basis (``solve_integer``) solves over Z, so
+every entry stays an int: there are no rational inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd
 
-from .errors import NotInLatticeError, SingularMatrixError
+from .errors import LevelMismatchError, NotInLatticeError, SingularMatrixError
 
 Matrix = tuple  # tuple of tuples of int
 
@@ -79,19 +79,6 @@ def mat_det(a: Matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def mat_inverse_fractions(a: Matrix):
-    """Inverse as Fractions: A^-1 = U . H^-1 for the column HNF A . U = H.
-
-    d . H^-1 is integral for d = det H, so back substitution finds it.
-    """
-    n = len(a)
-    full = _column_echelon(tuple(a) + identity_matrix(n), n)
-    h, u = full[:n], full[n:]
-    d = prod(h[i][i] for i in range(n))
-    inv = mat_mul(u, _back_substitute(h, scalar_matrix(n, d)))
-    return tuple(tuple(Fraction(x, d) for x in row) for row in inv)
 
 
 def int_valuation(x: int, p: int) -> int:
@@ -160,7 +147,8 @@ class PAdicMatrix:
         return self.det != 0 and self.det % self.p != 0
 
     def mul(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        assert self.p == other.p
+        if self.p != other.p:
+            raise LevelMismatchError("prime mismatch")
         return PAdicMatrix(self.p, mat_mul(self.entries, other.entries))
 
 
@@ -314,7 +302,9 @@ def row_hnf(entries) -> Matrix:
 
     Upper triangular with positive pivots; above-pivot entries lie in
     [0, pivot of their column).  Since the HNF is unique, it is the flip of
-    the column HNF of the flipped matrix.
+    the column HNF of the flipped matrix.  It depends only on the row
+    lattice, so entries may be any m x n rows (m >= n) that span a rank-n
+    lattice: row_hnf of a stack is row_hnf of a square basis of its rows.
     """
     return _flip(column_span_basis(_flip(entries)))
 

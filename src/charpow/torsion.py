@@ -7,6 +7,11 @@ A_H is kept in row HNF (see lattice.row_hnf); that makes equality of
 subgroups literal equality of matrices.  The annihilator lattice
 Lambda_H = {lam : lam . h is integral for all h in H} is the column span
 of A_H^T.
+
+Kernels and images are built on integer matrices alone.  The kernel of M
+is the row HNF of M's rows stacked over p^v I, for p^v the p-part of
+det M; the image gamma(H) is read off the integral q . A_H^{-1}, q = |H|,
+by one column echelon and one back substitution.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
@@ -23,17 +27,17 @@ from .lattice import (
     LatticeBasis,
     Matrix,
     PAdicMatrix,
+    _back_substitute,
     column_span_basis,
     freeze,
     hnf,
     int_valuation,
     is_p_power,
     is_prime,
-    mat_inverse_fractions,
+    mat_mul,
     mat_transpose,
     row_hnf,
     scalar_matrix,
-    solve_integer,
 )
 
 LISTING_CAP = 100_000  # most subgroups, sums, or summands of one sum a listing holds
@@ -65,54 +69,21 @@ class TorsionSubgroup:
     def n(self) -> int:
         return len(self.matrix)
 
-    def generators(self):
-        """Columns of A_H^{-1} reduced mod Z^n, as tuples of Fractions in [0, 1)."""
-        inv = mat_inverse_fractions(self.matrix)
-        cols = list(zip(*inv))
-        return tuple(tuple(x - (x // 1) for x in col) for col in cols)
-
     def sort_key(self):
         return _SORT_KEY(self)
 
 
 def subgroup_from_kernel_matrix(m: PAdicMatrix) -> TorsionSubgroup:
-    """Kernel of the isogeny x -> Mx on the torus, i.e. the p-part of M^{-1}Z^n / Z^n."""
+    """Kernel of the isogeny x -> Mx on the torus, i.e. the p-part of M^{-1}Z^n / Z^n.
+
+    With p^v the p-part of det M, Z^n M + p^v Z^n has index p^v, and over
+    Z_p it is the row lattice of M, since p^v M^{-1} is adj(M) over a
+    p-adic unit: so A_H is the row HNF of M's rows stacked over p^v I.
+    """
     if m.det == 0:
         raise SingularMatrixError("kernel of a singular matrix is not finite")
-    inv = mat_inverse_fractions(m.entries)
-    gens = []
-    for col in zip(*inv):
-        den = 1
-        for x in col:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        unit = den // (m.p ** int_valuation(den, m.p)) if den > 1 else 1
-        gens.append(tuple(x * unit for x in col))
-    return subgroup_from_generators(m.p, m.n, gens)
-
-
-def subgroup_from_generators(p: int, n: int, gens) -> TorsionSubgroup:
-    """Subgroup generated by torus elements given as Fraction vectors.
-
-    Every generator must have p-power order (p-power denominators).
-    """
-    e = 0
-    for g in gens:
-        for x in g:
-            x = Fraction(x)
-            d = x.denominator
-            v = int_valuation(d, p) if d > 1 else 0
-            if p ** v != d:
-                raise ValueError("generator does not have p-power order")
-            e = max(e, v)
-    q = p ** e
-    cols = [[q if i == j else 0 for i in range(n)] for j in range(n)]
-    for g in gens:
-        cols.append([int(Fraction(x) * q) for x in g])
-    scaled = tuple(tuple(col[i] for col in cols) for i in range(n))
-    basis = column_span_basis(scaled)  # basis of q . (Z^n + <gens>), which holds q . Z^n
-    # A_H = q . basis^{-1} maps the preimage lattice onto Z^n
-    a = solve_integer(LatticeBasis(p, basis), scalar_matrix(n, q))
-    return torsion_subgroup(p, row_hnf(a))
+    q = m.p ** int_valuation(m.det, m.p)
+    return torsion_subgroup(m.p, row_hnf(m.entries + scalar_matrix(m.n, q)))
 
 
 @lru_cache(maxsize=SUBGROUP_CACHE)
@@ -129,14 +100,20 @@ def annihilator_lattice(h: TorsionSubgroup) -> LatticeBasis:
 
 
 def image_subgroup(gamma: PAdicMatrix, h: TorsionSubgroup) -> TorsionSubgroup:
-    """Canonical form of gamma(H) for a nonsingular integer matrix gamma."""
+    """Canonical form of gamma(H) for a nonsingular integer matrix gamma.
+
+    With q = |H| = det A_H, X = q . A_H^{-1} is integral, and gamma(H) is
+    generated by the columns of gamma . X divided by q.  The lattice
+    q . (Z^n + gamma(H)) is the column span of [q I | gamma . X], and
+    A_{gamma H} is q times the inverse of its basis.
+    """
     if gamma.det == 0:
         raise SingularMatrixError("image under a singular matrix")
-    gens = []
-    for col in h.generators():
-        gens.append(tuple(sum(Fraction(gamma.entries[i][k]) * col[k]
-                              for k in range(h.n)) for i in range(h.n)))
-    return subgroup_from_generators(h.p, h.n, gens)
+    q = h.order
+    q_eye = scalar_matrix(h.n, q)
+    gens = mat_mul(gamma.entries, _back_substitute(h.matrix, q_eye))
+    basis = column_span_basis(tuple(a + b for a, b in zip(q_eye, gens)))
+    return torsion_subgroup(h.p, row_hnf(_back_substitute(basis, q_eye)))
 
 
 def enumerate_subgroups(p: int, n: int, k: int):

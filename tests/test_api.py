@@ -8,10 +8,14 @@ __init__.py.  Names are matched without types, so a dead method can hide
 behind a live one of the same name; a method that is only passed around
 uncalled would need an entry below.
 
-A second scan finds every functools cache of the package that states no bound.
+A second scan finds every functools cache of the package that states no bound,
+and a child under python -O checks that the input checks raise there too.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import charpow
@@ -112,3 +116,48 @@ def _unbounded_caches():
 def test_every_cache_has_a_bound():
     # an unbounded cache grows for the life of the process
     assert _unbounded_caches() == []
+
+
+# Each input check that an assert would lose under python -O, and the error it raises.
+_UNDER_O = """
+import sys
+import charpow.fgl as fgl
+from charpow.lattice import PAdicMatrix
+
+
+def honda_with_a_wrong_exp():
+    fgl.series_reversion = lambda s: s  # log . log is not x
+    fgl.build_honda_rational(2, 1, 4)
+
+
+q2 = fgl.RationalCoefficients(2)
+x = fgl.TruncatedPoly.var(q2, 1, 4, 0)
+calls = [
+    lambda: fgl.series_reversion(x.add(x).add(x.mul(x))),
+    lambda: x.substitute([x, x]),
+    lambda: PAdicMatrix(2, ((1,),)).mul(PAdicMatrix(3, ((1,),))),
+    honda_with_a_wrong_exp,
+]
+print(sys.flags.optimize)
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+def test_input_checks_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "1",
+        "ValueError: s(0) = 0 and linear coefficient 2: reversion needs 0 and 1",
+        "ValueError: 2 arguments for a series in 1 variables",
+        "LevelMismatchError: prime mismatch",
+        "NonIntegralCoefficientError: honda exp is not inverse to log",
+    ]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import charpow.fgl as fgl_module
 from charpow.errors import NonIntegralCoefficientError, NoUnitCoefficientError
 from charpow.fgl import (
     FGL,
@@ -49,6 +50,24 @@ def test_series_reversion_oracle():
     g = series_reversion(f)
     assert f.substitute([g]) == TruncatedPoly.var(Q2, 1, 4, 0)
     assert g == _series(Q2, 4, {1: 1, 2: -1, 3: 2, 4: -5})
+
+
+@pytest.mark.parametrize("coeffs", [{1: 2, 2: 1}, {0: 1, 1: 1}, {2: 1}])
+def test_series_reversion_rejects_a_bad_constant_or_linear_term(coeffs):
+    with pytest.raises(ValueError, match="reversion needs 0 and 1"):
+        series_reversion(_series(Q2, 4, coeffs))
+
+
+def test_substitute_rejects_a_wrong_argument_count():
+    x = TruncatedPoly.var(Q2, 1, 4, 0)
+    with pytest.raises(ValueError, match="2 arguments for a series in 1 variables"):
+        x.substitute([x, x])
+
+
+def test_honda_rational_rejects_an_exp_that_does_not_invert_log(monkeypatch):
+    monkeypatch.setattr(fgl_module, "series_reversion", lambda s: s)
+    with pytest.raises(NonIntegralCoefficientError, match="not inverse to log"):
+        build_honda_rational(2, 1, 4)
 
 
 def test_additive_and_multiplicative_i_series():

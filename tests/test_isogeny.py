@@ -25,7 +25,8 @@ from charpow.lattice import (
     snf,
 )
 from charpow.rng import SplitMix64, random_unimodular
-from charpow.torsion import TorsionSubgroup, enumerate_subgroups, subgroup_from_generators
+from charpow.torsion import TorsionSubgroup, enumerate_subgroups
+from test_torsion import subgroup_from_generators
 
 TRIVIAL = TorsionSubgroup(2, identity_matrix(2))  # in (Q_2/Z_2)^2
 TWO_TORSION = TorsionSubgroup(2, scalar_matrix(2, 2))

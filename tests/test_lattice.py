@@ -6,22 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charpow.errors import NotInLatticeError, SingularMatrixError
+from charpow.errors import LevelMismatchError, NotInLatticeError, SingularMatrixError
 from charpow.lattice import (
     LatticeBasis,
     PAdicMatrix,
+    _back_substitute,
     column_span_basis,
     hnf,
     int_valuation,
     mat_det,
-    mat_inverse_fractions,
     mat_mul,
     rational_span,
     row_hnf,
+    scalar_matrix,
     snf,
     solve_integer,
 )
-from charpow.rng import SplitMix64
+from charpow.rng import SplitMix64, random_unimodular
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -449,27 +450,29 @@ def _seeded_nonsingular(rng, n):
             return a
 
 
-def test_mat_inverse_fractions_matches_row_reduce_oracle():
+def fraction_inverse(a):
+    """Oracle: A^-1 as Fractions, by rational row reduction of [A | I]."""
+    n = len(a)
+    rref = _oracle_row_reduce(
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    )
+    assert [_oracle_pivot(row) for row in rref] == list(range(n))
+    return tuple(tuple(row.get(j, 0) for j in range(n, 2 * n)) for row in rref)
+
+
+def test_scaled_inverse_by_back_substitution_matches_row_reduce_oracle():
+    # det(A) . A^-1 for a triangular A, as image_subgroup takes |H| . A_H^-1
     from charpow.torsion import enumerate_subgroups
 
     rng = SplitMix64(77)
-    cases = [_seeded_nonsingular(rng, 1 + rng.below(4)) for _ in range(200)]
+    cases = [row_hnf(_seeded_nonsingular(rng, 1 + rng.below(4))) for _ in range(200)]
     cases += [h.matrix for k in range(4) for h in enumerate_subgroups(2, 2, k)]
     for a in cases:
-        n = len(a)
-        rref = _oracle_row_reduce(
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)
+        d = mat_det(a)
+        assert _back_substitute(a, scalar_matrix(len(a), d)) == tuple(
+            tuple(d * x for x in row) for row in fraction_inverse(a)
         )
-        assert [_oracle_pivot(row) for row in rref] == list(range(n))
-        assert mat_inverse_fractions(a) == tuple(
-            tuple(row.get(j, 0) for j in range(n, 2 * n)) for row in rref
-        )
-
-
-def test_mat_inverse_fractions_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        mat_inverse_fractions(((1, 2), (2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +490,19 @@ def _oracle_xgcd(a, b):
 
 
 def _oracle_row_hnf(entries):
-    """Oracle: xgcd row operations down each column, then reduce above the pivots."""
-    n = len(entries)
+    """Oracle: xgcd row operations down each column, then reduce above the pivots.
+
+    entries may have more rows than columns; the rows past the square
+    block end up zero.
+    """
+    n = len(entries[0])
     rows = [list(r) for r in entries]
     for c in range(n):
-        acc = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        acc = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
         if acc is None:
             raise SingularMatrixError("row_hnf requires a nonsingular matrix")
         rows[c], rows[acc] = rows[acc], rows[c]
-        for i in range(c + 1, n):
+        for i in range(c + 1, len(rows)):
             if rows[i][c] == 0:
                 continue
             a, b = rows[c][c], rows[i][c]
@@ -510,7 +517,8 @@ def _oracle_row_hnf(entries):
             q = rows[i][j] // rows[j][j]
             if q:
                 rows[i] = [u - q * v for u, v in zip(rows[i], rows[j])]
-    return tuple(map(tuple, rows))
+    assert not any(map(any, rows[n:]))
+    return tuple(map(tuple, rows[:n]))
 
 
 def _oracle_snf(m):
@@ -604,6 +612,28 @@ def test_row_hnf_and_snf_match_xgcd_oracles_on_seeded_matrices():
         _assert_matches_oracles(m)
         checked += 1
     assert checked > 300
+
+
+def test_row_hnf_of_a_stack_is_row_hnf_of_a_square_basis():
+    # [M; |det M| I] and [M; U M] have the row lattice of M, since
+    # |det M| . M^-1 = +-adj(M) is integral; [M; p^v I] goes to the oracle
+    rng = SplitMix64(31)
+    for _ in range(150):
+        n = 1 + rng.below(3)
+        m = _seeded_nonsingular(rng, n)
+        det = abs(mat_det(m))
+        u = random_unimodular(rng, n)
+        assert row_hnf(m + scalar_matrix(n, det)) == row_hnf(m)
+        assert row_hnf(m + mat_mul(u, m)) == row_hnf(m)
+        for p in (2, 3):
+            stack = m + scalar_matrix(n, p ** int_valuation(det, p))
+            assert row_hnf(stack) == _oracle_row_hnf(stack)
+    assert row_hnf(((2, 0), (0, 3), (1, 1))) == ((1, 0), (0, 1))
+
+
+def test_padic_matrix_mul_rejects_a_prime_mismatch():
+    with pytest.raises(LevelMismatchError, match="prime mismatch"):
+        PAdicMatrix(2, ((1, 0), (0, 1))).mul(PAdicMatrix(3, ((1, 0), (0, 1))))
 
 
 def test_snf_of_a_diagonal_with_a_negative_entry():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -8,8 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpow import torsion
-from charpow.errors import ListingTooLargeError
-from charpow.lattice import PAdicMatrix, identity_matrix, mat_det, mat_mul, scalar_matrix
+from charpow.errors import ListingTooLargeError, SingularMatrixError
+from charpow.lattice import (
+    LatticeBasis,
+    PAdicMatrix,
+    column_span_basis,
+    identity_matrix,
+    int_valuation,
+    mat_det,
+    mat_mul,
+    row_hnf,
+    scalar_matrix,
+    solve_integer,
+)
 from charpow.rng import SplitMix64, random_unimodular
 from charpow.torsion import (
     SumOfSubgroups,
@@ -18,11 +30,64 @@ from charpow.torsion import (
     enumerate_subgroups,
     enumerate_sums,
     image_subgroup,
-    subgroup_from_generators,
+    subgroup_from_kernel_matrix,
 )
+from test_lattice import fraction_inverse
 
 TRIVIAL = TorsionSubgroup(2, identity_matrix(2))  # in (Q_2/Z_2)^2
 TWO_TORSION = TorsionSubgroup(2, scalar_matrix(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction routes to subgroups, kept as oracles for the integer ones
+
+
+def subgroup_from_generators(p, n, gens):
+    """Subgroup generated by torus elements given as Fraction vectors.
+
+    Every generator must have p-power order (p-power denominators).
+    """
+    e = 0
+    for g in gens:
+        for x in g:
+            x = Fraction(x)
+            d = x.denominator
+            v = int_valuation(d, p) if d > 1 else 0
+            if p ** v != d:
+                raise ValueError("generator does not have p-power order")
+            e = max(e, v)
+    q = p ** e
+    cols = [[q if i == j else 0 for i in range(n)] for j in range(n)]
+    for g in gens:
+        cols.append([int(Fraction(x) * q) for x in g])
+    scaled = tuple(tuple(col[i] for col in cols) for i in range(n))
+    basis = column_span_basis(scaled)  # basis of q . (Z^n + <gens>), which holds q . Z^n
+    # A_H = q . basis^{-1} maps the preimage lattice onto Z^n
+    a = solve_integer(LatticeBasis(p, basis), scalar_matrix(n, q))
+    return TorsionSubgroup(p, row_hnf(a))
+
+
+def generators(h):
+    """Columns of A_H^{-1} reduced mod Z^n, as tuples of Fractions in [0, 1)."""
+    return tuple(tuple(x % 1 for x in col) for col in zip(*fraction_inverse(h.matrix)))
+
+
+def _oracle_kernel(m):
+    """The p-parts of the columns of M^{-1}, each times the prime-to-p part of its denominator."""
+    gens = []
+    for col in zip(*fraction_inverse(m.entries)):
+        den = math.lcm(*(Fraction(x).denominator for x in col))
+        unit = den // m.p ** int_valuation(den, m.p)
+        gens.append(tuple(x * unit for x in col))
+    return subgroup_from_generators(m.p, m.n, gens)
+
+
+def _oracle_image(gamma, h):
+    gens = [
+        tuple(sum(gamma.entries[i][k] * col[k] for k in range(h.n)) for i in range(h.n))
+        for col in generators(h)
+    ]
+    return subgroup_from_generators(h.p, h.n, gens)
 
 
 def bruteforce_subgroups_of_torsion_square(p, e, order):
@@ -53,7 +118,7 @@ def bruteforce_subgroups_of_torsion_square(p, e, order):
 
 def subgroup_to_elements(h, q):
     """Elements of H inside (Z/q)^2, via the generators of A_H^{-1} mod Z^2."""
-    gens = [tuple(int(x * q) % q for x in g) for g in h.generators()]
+    gens = [tuple(int(x * q) % q for x in g) for g in generators(h)]
     sub = {(0, 0)}
     frontier = [(0, 0)]
     while frontier:
@@ -134,7 +199,7 @@ def test_annihilator_pairing_oracle():
         basis = annihilator_lattice(h)
         assert basis.index() == h.order
         for col in zip(*basis.matrix):
-            for gen in h.generators():
+            for gen in generators(h):
                 pairing = sum(Fraction(c) * g for c, g in zip(col, gen))
                 assert pairing.denominator == 1
 
@@ -182,6 +247,37 @@ def test_subgroup_from_generators_matches_order():
         2, 2, [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))]
     )
     assert g == TWO_TORSION
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3) for n in (1, 2, 3)])
+def test_kernel_and_image_match_fraction_oracles(p, n):
+    rng = SplitMix64(100 * p + n)
+
+    def draw():
+        while True:
+            m = tuple(tuple(rng.below(19) - 9 for _ in range(n)) for _ in range(n))
+            if mat_det(m) != 0:
+                return PAdicMatrix(p, m)
+
+    prime_to_p = non_automorphisms = 0
+    for _ in range(150):
+        m = draw()
+        h = subgroup_from_kernel_matrix(m)
+        assert h == _oracle_kernel(m)
+        prime_to_p += abs(m.det) != p ** int_valuation(m.det, p)
+        scalars = {PAdicMatrix(p, scalar_matrix(n, c)) for c in (2, p)}
+        for gamma in scalars | {draw()}:
+            assert image_subgroup(gamma, h) == _oracle_image(gamma, h)
+            non_automorphisms += not gamma.is_automorphism()
+    assert prime_to_p > 0 and non_automorphisms > 150
+
+
+def test_kernel_and_image_reject_singular_matrices():
+    singular = PAdicMatrix(2, ((1, 2), (2, 4)))
+    with pytest.raises(SingularMatrixError):
+        subgroup_from_kernel_matrix(singular)
+    with pytest.raises(SingularMatrixError):
+        image_subgroup(singular, TWO_TORSION)
 
 
 def test_sums_canonical_order_and_uniqueness():
