@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .groups import (
 )
 from .isogeny import Isogeny, Section, psi_dual
 from .lattice import PAdicMatrix, mat_det, mat_transpose
-from .rng import SplitMix64, random_fraction
+from .rng import SplitMix64
 from .torsion import max_subgroup_exponent
 
 TABLE_CAP = 65_536
@@ -270,7 +270,8 @@ class C0Element:
         )
 
     def scale(self, c) -> "C0Element":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"scale factor must be int or Fraction, got {type(c).__name__}")
         bits = self._bits + abs(c.numerator).bit_length()
         return self._like(_tier(self._arr, bits) * c.numerator, self.den * c.denominator, bits)
 
@@ -314,8 +315,11 @@ def c0_delta(p, n, level, t: int) -> C0Element:
 
 
 def c0_random(p, n, level, rng: SplitMix64) -> C0Element:
+    """Entries (below(19) - 9) / (1 + below(4)) as integer numerators over 12, the lcm of 1..4."""
     size = _table_size(p, n, level)
-    return C0Element(p, n, level, tuple(random_fraction(rng) for _ in range(size)))
+    # the left operand is evaluated first, so each entry draws its numerator, then its denominator
+    nums = [(rng.below(19) - 9) * (12 // (1 + rng.below(4))) for _ in range(size)]
+    return C0Element(p, n, level, nums, 12)
 
 
 @dataclass(frozen=True)
@@ -481,9 +485,9 @@ def act_by_residue(f: ClassFunction, gbar) -> ClassFunction:
     tr = mat_transpose(lift)
     out = {}
     for cls in enumerate_hom_classes(f.group, f.n, f.p):
-        val = f.value_at(precompose(cls, tr))
-        if not val.is_zero():
-            out[cls.rep] = val.act_matrix_left(lift)
+        src = precompose(cls, tr).rep
+        if src in f.values:
+            out[cls.rep] = f.values[src].act_matrix_left(lift)
     return f._like(out)
 
 
@@ -615,10 +619,9 @@ def restrict(f: ClassFunction, hom: Homomorphism) -> ClassFunction:
         raise ValueError("homomorphism target does not match the class function")
     out = {}
     for cls in enumerate_hom_classes(hom.source, f.n, f.p):
-        mapped = TupleClass(f.group, tuple(hom(i) for i in cls.rep), f.p)
-        val = f.value_at(mapped)
-        if not val.is_zero():
-            out[cls.rep] = val
+        src = TupleClass(f.group, tuple(hom(i) for i in cls.rep), f.p).rep
+        if src in f.values:
+            out[cls.rep] = f.values[src]
     return ClassFunction(hom.source, f.p, f.n, f.level, out)
 
 
@@ -630,9 +633,8 @@ def external_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     out = {}
     for cls in enumerate_hom_classes(target, f.n, f.p):
         a, b = split_product_class(cls)
-        val = f.value_at(a).mul(g.value_at(b))
-        if not val.is_zero():
-            out[cls.rep] = val
+        if a.rep in f.values and b.rep in g.values:
+            out[cls.rep] = f.values[a.rep].mul(g.values[b.rep])
     return ClassFunction(target, f.p, f.n, f.level, out)
 
 
@@ -661,13 +663,10 @@ def transfer(f: ClassFunction, iota: Homomorphism) -> ClassFunction:
     big = iota.target
     out = {}
     for cls in enumerate_hom_classes(big, f.n, f.p):
-        total = c0_constant(f.p, f.n, f.level, 0)
-        for src_rep, count in transfer_counts(iota, cls).items():
-            val = f.value_at(src_rep)
-            if not val.is_zero():
-                total = total.add(val.scale(count))
-        if not total.is_zero():
-            out[cls.rep] = total
+        counts = transfer_counts(iota, cls).items()
+        terms = [f.values[src].scale(k) for src, k in counts if src in f.values]
+        if terms:
+            out[cls.rep] = reduce(C0Element.add, terms)
     return ClassFunction(big, f.p, f.n, f.level, out)
 
 
@@ -735,17 +734,14 @@ def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
         )
     target = make_target(f.group, m)
     _require_level_covers(target, f.p, f.level)
-    one = c0_constant(f.p, f.n, f.level, 1)  # the empty product
     out = {}
     for rep, terms in _section_plan(section, target, summands, dual):
-        val = one
-        for src, phi in terms:
-            if src not in f.values:  # f vanishes there, and so does the product
-                break
-            term = f.values[src].act_isogeny(phi)
-            val = term if val is one else val.mul(term)
-        else:
-            out[rep] = val
+        if not terms:  # the empty product, at m = 0
+            out[rep] = c0_constant(f.p, f.n, f.level, 1)
+        elif all(src in f.values for src, _ in terms):  # else f vanishes, and so does the product
+            out[rep] = reduce(
+                C0Element.mul, (f.values[src].act_isogeny(phi) for src, phi in terms)
+            )
     return ClassFunction(target, f.p, f.n, f.level, out)
 
 

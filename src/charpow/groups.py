@@ -887,7 +887,9 @@ def wreath_class_to_decorated(beta: TupleClass) -> DecoratedSum:
             vec, s = wreath.elements[_evaluate(wreath, beta.rep, col)]
             assert s[x0] == x0
             decoration.append(g.index[vec[x0]])
-        summands.append((h, TupleClass(g, tuple(decoration), beta.p)))
+        # the entries are the image of beta's commuting p-power tuple under
+        # Stab(x0) -> G, (v, s) -> v[x0], so they pass the constructor's checks
+        summands.append((h, TupleClass._canonical(g, canonical_tuple(g, decoration), beta.p)))
     return DecoratedSum(tuple(summands))
 
 

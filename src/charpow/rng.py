@@ -1,9 +1,10 @@
 """Deterministic seeded randomness.
 
 All randomness in the package flows from a single 64-bit seed through
-SplitMix64; the generator and every derived sampler below are part of the
-interface contract, so seeded runs are reproducible across platforms and
-reimplementable in other languages.
+SplitMix64; the generator, ``below`` and ``random_unimodular`` below, and
+the samplers built on them (``classfn.c0_random``, seeded sections) are
+part of the interface contract, so seeded runs are reproducible across
+platforms and reimplementable in other languages.
 
 SplitMix64 (Steele-Lea-Flood): state advances by the odd constant
 0x9E3779B97F4A7C15; output is the finalizer
@@ -53,12 +54,3 @@ def random_unimodular(rng: SplitMix64, n: int):
             c = -c
         rows[i] = [u + c * v for u, v in zip(rows[i], rows[j])]
     return tuple(tuple(row) for row in rows)
-
-
-def random_fraction(rng: SplitMix64):
-    """Rational with numerator in [-9, 9] and denominator in {1, 2, 3, 4}."""
-    from fractions import Fraction
-
-    num = rng.below(19) - 9
-    den = 1 + rng.below(4)
-    return Fraction(num, den)

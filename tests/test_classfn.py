@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -179,6 +180,58 @@ def test_c0_isogeny_action_is_ring_hom():
 def test_c0_rejects_inexact_entries(bad):
     with pytest.raises(TypeError):
         C0Element(2, 1, 1, (0, bad))
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3"])
+def test_scale_rejects_a_float_or_a_string(s3, bad):
+    kind = type(bad).__name__
+    with pytest.raises(TypeError, match=f"scale factor must be int or Fraction, got {kind}"):
+        c0_coordinate(2, 1, 1).scale(bad)
+    with pytest.raises(TypeError, match=kind):
+        constant_one(s3, P, N, LEVEL).scale(bad)
+
+
+def random_fraction(rng: SplitMix64):
+    """Oracle of c0_random's entry: numerator in [-9, 9], then denominator in {1, 2, 3, 4}."""
+    num = rng.below(19) - 9
+    den = 1 + rng.below(4)
+    return Fraction(num, den)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+@pytest.mark.parametrize("p, n, level", [(2, 2, 2), (2, 2, 4), (3, 2, 2), (2, 1, 3)])
+def test_c0_random_matches_fraction_oracle(p, n, level, seed):
+    rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
+    c = c0_random(p, n, level, rng)
+    size = (p ** level) ** (n * n)
+    oracle = C0Element(p, n, level, tuple(random_fraction(oracle_rng) for _ in range(size)))
+    assert c == oracle and hash(c) == hash(oracle)
+    assert rng.state == oracle_rng.state
+
+
+def test_splitmix64_reference_outputs():
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
+    rng = SplitMix64(1234567)
+    assert [rng.next_u64() for _ in range(2)] == [0x599ED017FB08FC85, 0x2C73F08458540FA5]
+
+
+# SHA-256 of the canonical JSON (sorted keys, fixed separators, newline) of
+# random_class_function(group, p=2, n=2, level, seed=0), recorded while
+# seeded tables were drawn one Fraction per entry
+SEEDED_JSON_DIGESTS = {
+    ("S3", 2): "7dedd84c67cb51e720ef21ec844c621a474696a4f8694840ec0b0e786f072c70",
+    ("C2", 3): "18d3025891faa36f23f47ad3921196da825613863ad55e4051b0ff2882f23d43",
+}
+
+
+@pytest.mark.parametrize("spec, level", sorted(SEEDED_JSON_DIGESTS))
+def test_seeded_class_function_json_is_pinned(spec, level):
+    f = random_class_function(build_group(spec), 2, 2, level, 0)
+    text = json.dumps(to_json_dict(f), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_JSON_DIGESTS[spec, level]
 
 
 def test_c0_int_table_equals_fraction_table(s3):
@@ -905,6 +958,16 @@ def test_power_op_one_and_multiplicativity(s3, section):
     g = random_class_function(s3, P, N, LEVEL, seed=10)
     for m in (2, 3):
         assert multiplicative(f, g, m, power_op(f, m, section), section)
+
+
+@pytest.mark.parametrize(
+    "op, target", [(power_op, "(C2xS0)"), (total_power_op, "wr(C2,0)")]
+)
+def test_power_ops_at_m0_are_constant_one(section, op, target):
+    f = random_class_function(build_group("C2"), P, N, LEVEL, seed=14)
+    p0 = op(f, 0, section)
+    assert p0.group.name == target
+    assert p0 == constant_one(p0.group, P, N, LEVEL)
 
 
 def test_power_op_m1_identity(s3, section):

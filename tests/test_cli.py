@@ -81,6 +81,9 @@ LISTING_DIGESTS = {
     ("wreath-classes", "json"): "af2fc95871feea656dd9456156c205928b96a4659746e5df867eae6cef8b1290",
     ("wreath-classes", "csv"): "e6e8d0614bed84da3d69d56e73018240e317a8ac3d76b21d38e2928be2b734c4",
 }
+# SHA-256 of `charpow verify --suite all` (273 properties, all PASS); a
+# change that adds or alters a property records its new digest here
+VERIFY_ALL_DIGEST = "a24e01abda8a248a5233c1e881f9b32a2f1998f21dffa823c0c6ef8ec0e8b275"
 LISTING_ARGS = {
     "sums": ["--n", "3", "--m", "6"],
     "hom-classes": ["--group", "S4", "--n", "2"],
@@ -95,6 +98,12 @@ def test_listing_bytes_are_pinned(kind, fmt, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[kind, fmt]
+
+
+def test_verify_all_bytes_are_pinned(capsys):
+    code, out, _ = run(["verify", "--suite", "all"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
 # SHA-256 of each powerop output, recorded before power operations ran from

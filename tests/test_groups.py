@@ -805,6 +805,17 @@ def test_wreath_split_runs_at_most_one_echelon_per_distinct_subgroup(monkeypatch
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "spec", ["wr(C2,1)", "wr(C2,2)", "wr(C2,3)", "wr(C2,4)", "wr(S3,2)", "wr(wr(S2,2),2)"]
+)
+def test_decorations_pass_the_checked_tuple_class_constructor(spec):
+    # decorations are built unchecked; the checks (p-power orders, commuting
+    # entries) are invariant under conjugation, so checking the rep suffices
+    for beta in enumerate_hom_classes(build_group(spec), 2, 2):
+        for _, alpha in wreath_class_to_decorated(beta).summands:
+            assert TupleClass(alpha.group, alpha.rep, alpha.p) == alpha
+
+
 def test_wreath_diagonal_tuple_gives_trivial_summands():
     g = build_group("S2")
     h = diagonal_wreath_hom(g, 3)
