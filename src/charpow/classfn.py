@@ -853,16 +853,21 @@ def _fraction_strings(val: C0Element) -> list:
     return [f"{x}/{d}" for x, d in zip((arr // g).tolist(), (val.den // g).tolist())]
 
 
+def json_classes(f: ClassFunction):
+    """The entries of f's "classes" list, one per present class in sorted rep order, lazily."""
+    return (
+        {"rep": list(rep), "value": _fraction_strings(val)}
+        for rep, val in sorted(f.values.items())
+    )
+
+
 def to_json_dict(f: ClassFunction) -> dict:
     return {
         "p": f.p,
         "n": f.n,
         "level": f.level,
         "group": f.group.name,
-        "classes": [
-            {"rep": list(rep), "value": _fraction_strings(val)}
-            for rep, val in sorted(f.values.items())
-        ],
+        "classes": list(json_classes(f)),
     }
 
 

@@ -3,16 +3,18 @@
 Exit codes: 0 success; 1 failed verification property; 2 invalid spec or
 parse error; 3 size-cap violation; 4 level mismatch; 5 section out of
 range.  JSON output is canonical (sorted keys, fixed separators) so equal
-configs produce byte-identical files.
+configs produce byte-identical files.  Every output is written one item,
+row or class at a time, after every check that can fail has passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import sys
+from types import SimpleNamespace
 
 from .classfn import (
     ClassFunction,
@@ -21,8 +23,8 @@ from .classfn import (
     constant_one,
     constant_value,
     from_json_dict,
+    json_classes,
     power_op,
-    to_json_dict,
     total_power_op,
 )
 from .errors import (
@@ -59,26 +61,49 @@ EXIT_CODES = (
 )
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json_text(obj) + "\n"
 
 
-def _emit(out_path, *texts: str):
-    """Write the texts, one after another, to out_path or stdout."""
+def _json_chunks(payload: dict, field: str, texts):
+    """The canonical JSON of payload with the list field holding the element texts.
+
+    The envelope is payload's canonical JSON with field null, split there;
+    the elements follow one at a time, so no chunk holds the whole list.
+    """
+    head, tail = _canonical_json({**payload, field: None}).split(f'"{field}":null')
+    yield f'{head}"{field}":['
+    sep = ""
+    for text in texts:
+        yield sep + text
+        sep = ","
+    yield "]" + tail
+
+
+def _csv_chunks(header, rows):
+    """The CSV lines of header and rows, one at a time.
+
+    writerow returns what the file's write returns: here, the line itself.
+    """
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    return map(line, itertools.chain([header], rows))
+
+
+def _emit(out_path, chunks):
+    """Write the text chunks, one after another, to out_path or stdout.
+
+    Chunks may be made lazily, but only by formatting: every step that can
+    fail runs before the call, so a failing command leaves out_path as it was.
+    """
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(texts)
+            fh.writelines(chunks)
     else:
-        sys.stdout.writelines(texts)
-
-
-def _csv_text(header_record, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header_record)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+        sys.stdout.writelines(chunks)
 
 
 def _matrix_cell(matrix) -> str:
@@ -104,13 +129,13 @@ def _make_section(args, bound: int):
 
 
 def cmd_enumerate(args) -> int:
-    """List one kind; only the requested format's items or rows are built."""
+    """List one kind; only the requested format's items or rows are built, one at a time."""
     meta = {"p": args.p, "n": args.n}
     if args.kind == "subgroups":
         listing = enumerate_subgroups(args.p, args.n, args.k)
         meta["k"] = args.k
         header = ("index", "order", "matrix")
-        item = lambda h: {"matrix": h.matrix, "order": h.order}
+        item = lambda h: _json_text({"matrix": h.matrix, "order": h.order})
         row = lambda h: (h.order, _matrix_cell(h.matrix))
     elif args.kind == "sums":
         # index tuples into one subgroup list, whose text is made once per subgroup;
@@ -119,7 +144,7 @@ def cmd_enumerate(args) -> int:
         meta["m"] = args.m
         header = ("index", "total", "summands")
         if args.format == "json":
-            texts = [json.dumps(h.matrix, separators=(",", ":")) for h in subgroups]
+            texts = [_json_text(h.matrix) for h in subgroups]
             item = lambda t: (f'{{"summands":[{",".join(map(texts.__getitem__, t))}],'
                               f'"total":{args.m}}}')
         else:
@@ -130,32 +155,27 @@ def cmd_enumerate(args) -> int:
         listing = enumerate_hom_classes(group, args.n, args.p)
         meta["group"] = group.name
         header = ("index", "rep")
-        item = lambda c: {"rep": c.rep,
-                          "elements": [str(group.elements[i]) for i in c.rep]}
+        item = lambda c: _json_text({"rep": c.rep,
+                                     "elements": [str(group.elements[i]) for i in c.rep]})
         row = lambda c: (" ".join(map(str, c.rep)),)
     elif args.kind == "wreath-classes":
         group = wreath_group(build_group(args.group), args.m)
         listing = enumerate_hom_classes(group, args.n, args.p)
         meta.update(group=group.name, m=args.m)
         header = ("index", "rep")
-        item = lambda c: {"rep": c.rep, "decorated": [
+        item = lambda c: _json_text({"rep": c.rep, "decorated": [
             {"subgroup": h.matrix, "class": a.rep}
-            for h, a in wreath_class_to_decorated(c).summands]}
+            for h, a in wreath_class_to_decorated(c).summands]})
         row = lambda c: (" ".join(map(str, c.rep)),)
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     if args.format == "json":
-        payload = {"kind": args.kind, **meta, "count": len(listing), "items": None}
-        if args.kind == "sums":  # items are JSON text already: splice them in
-            head, tail = _canonical_json(payload).split('"items":null')
-            _emit(args.out, head, '"items":[', ",".join(map(item, listing)), "]", tail)
-        else:
-            payload["items"] = [item(x) for x in listing]
-            _emit(args.out, _canonical_json(payload))
+        payload = {"kind": args.kind, **meta, "count": len(listing)}
+        _emit(args.out, _json_chunks(payload, "items", map(item, listing)))
     else:
-        rows = [("count", len(listing), *[""] * (len(header) - 2))]
-        rows += [(i, *row(x)) for i, x in enumerate(listing)]
-        _emit(args.out, _csv_text(header, rows))
+        count = ("count", len(listing), *[""] * (len(header) - 2))
+        rows = ((i, *row(x)) for i, x in enumerate(listing))
+        _emit(args.out, _csv_chunks(header, itertools.chain([count], rows)))
     return 0
 
 
@@ -189,7 +209,9 @@ def cmd_powerop(args) -> int:
             args.generator, build_group(args.group), args.p, args.n, args.level
         )
     op = total_power_op if args.total else power_op
-    _emit(args.out, _canonical_json(to_json_dict(op(f, args.m, section))))
+    g = op(f, args.m, section)
+    payload = {"p": g.p, "n": g.n, "level": g.level, "group": g.group.name}
+    _emit(args.out, _json_chunks(payload, "classes", map(_json_text, json_classes(g))))
     return 0
 
 
@@ -213,7 +235,7 @@ def cmd_verify(args) -> int:
     lines.append(
         f"{len(results) - failures}/{len(results)} properties passed"
     )
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, (line + "\n" for line in lines))
     return EXIT_VERIFY_FAILED if failures else 0
 
 

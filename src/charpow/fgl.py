@@ -130,22 +130,28 @@ class TruncatedPoly:
             raise ValueError(f"{len(args)} arguments for a series in {self.nvars} variables")
         ring, trunc, tgt_nvars = self.ring, self.trunc, args[0].nvars
         powers = [[TruncatedPoly.const(ring, tgt_nvars, trunc, 1)] for _ in args]
+        terms = _plug(self.coeffs, 0, args, powers, trunc)
+        return TruncatedPoly.make(ring, tgt_nvars, trunc, terms)
 
-        def plug(terms, v):
-            """sum of c . prod_{u >= v} args[u]^exps[u] over terms (exps, c), as a dict."""
-            if v == self.nvars:  # the terms share every exponent: one term
-                return {(0,) * tgt_nvars: terms[0][1]}
-            groups = {}
-            for term in terms:
-                groups.setdefault(term[0][v], []).append(term)
-            out = {}
-            for e, group in groups.items():
-                while len(powers[v]) <= e:
-                    powers[v].append(powers[v][-1].mul(args[v]))
-                _mul_into(out, powers[v][e].coeffs, plug(group, v + 1).items(), trunc)
-            return out
 
-        return TruncatedPoly.make(ring, tgt_nvars, trunc, plug(self.coeffs, 0))
+def _plug(terms, v: int, args, powers, trunc: int) -> dict:
+    """sum of c . prod_{u >= v} args[u]^exps[u] over terms (exps, c), as a dict.
+
+    powers[u] lists the powers of args[u] built so far, from the 0th; more are
+    appended as needed.  Terms of total degree above trunc are dropped.
+    """
+    if v == len(args):  # the terms share every exponent: one term
+        return {(0,) * args[0].nvars: terms[0][1]}
+    groups = {}
+    for term in terms:
+        groups.setdefault(term[0][v], []).append(term)
+    out = {}
+    for e, group in groups.items():
+        while len(powers[v]) <= e:
+            powers[v].append(powers[v][-1].mul(args[v]))
+        _mul_into(out, powers[v][e].coeffs, _plug(group, v + 1, args, powers, trunc).items(),
+                  trunc)
+    return out
 
 
 def _mul_into(out: dict, left, right, trunc: int) -> dict:

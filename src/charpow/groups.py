@@ -39,7 +39,7 @@ from .torsion import (
 
 ORDER_CAP = 10_000
 TRANSLATION_CACHE = 1024  # lattices whose coset translations are kept at most
-_CHECK_BLOCK = 1 << 18  # table entries per block of a table scan
+_CHECK_BLOCK = 1 << 16  # table entries per block of a table scan
 
 
 def _row_blocks(n):
@@ -289,16 +289,22 @@ def _perm_table(perms):
     A permutation's base-m digits are its entries, so its key ranks it; a
     dense key -> index array of m^m entries (823543 for S7) reads the rows.
     The key of s t is sum_i w_i s(t(i)) = s . u_t with u_t(j) = w_(t^-1(j)),
-    so a block of rows is one integer matrix product.
+    so the keys of a block of rows are a sum of m outer products, in int32:
+    ORDER_CAP admits m <= 7, and 7^7 < 2^31.
     """
     n, m = perms.shape
-    weights = m ** np.arange(m - 1, -1, -1)
+    perms = perms.astype(np.int32)
+    weights = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
     rank = np.zeros(m ** m, dtype=np.uint16)
-    rank[perms.dot(weights)] = np.arange(n)
-    u = weights[np.argsort(perms, axis=1)].T  # column t is u_t
+    rank[perms @ weights] = np.arange(n)
+    u = np.ascontiguousarray(weights[np.argsort(perms, axis=1)].T)  # column t is u_t
     table = np.empty((n, n), dtype=np.uint16)
     for b in _row_blocks(n):
-        table[b] = rank[perms[b] @ u]
+        s = perms[b]
+        keys = np.zeros((len(s), n), dtype=np.int32)
+        for j in range(m):
+            keys += s[:, j, None] * u[j]
+        table[b] = rank[keys]
     return table
 
 

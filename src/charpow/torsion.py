@@ -217,19 +217,23 @@ def _sum_count(p: int, n: int, m: int) -> int:
     prod_q C(N_q + c_q - 1, c_q) sums per partition.
     """
     counts = [_subgroup_count(p, n, e) for e in range(max_subgroup_exponent(p, m) + 1)]
+    return _ways(p, counts, m, len(counts) - 1)
 
-    def ways(remaining, e):
-        """Sums of subgroups of order at most p^e with orders adding up to remaining."""
-        if e == 0:  # only the trivial subgroup
-            return 1
-        total = 0
-        for c in range(remaining // p ** e + 1):
-            total += math.comb(counts[e] + c - 1, c) * ways(remaining - c * p ** e, e - 1)
-            if total > LISTING_CAP:
-                break
-        return total
 
-    return ways(m, len(counts) - 1)
+def _ways(p: int, counts, remaining: int, e: int) -> int:
+    """Sums of subgroups of order at most p^e with orders adding up to remaining.
+
+    counts[e] is the number of subgroups of order p^e; once past LISTING_CAP,
+    some larger number.
+    """
+    if e == 0:  # only the trivial subgroup
+        return 1
+    total = 0
+    for c in range(remaining // p ** e + 1):
+        total += math.comb(counts[e] + c - 1, c) * _ways(p, counts, remaining - c * p ** e, e - 1)
+        if total > LISTING_CAP:
+            break
+    return total
 
 
 def sum_index_tuples(p: int, n: int, m: int):
@@ -254,20 +258,24 @@ def sum_index_tuples(p: int, n: int, m: int):
         subgroups += enumerate_subgroups(p, n, e)
         ranges.append(range(start, len(subgroups)))
     tuples = []
-
-    def place(remaining, e, pools):
-        """Place the summands of order at most p^e; pools hold the larger ones, ascending."""
-        choices = lambda c: tuple(itertools.combinations_with_replacement(ranges[e], c))
-        if e == 0:
-            for combo in itertools.product(choices(remaining), *pools):
-                tuples.append(tuple(itertools.chain.from_iterable(combo)))
-            return
-        for c in range(remaining // p ** e + 1):
-            place(remaining - c * p ** e, e - 1, [choices(c)] + pools)
-
-    place(m, len(ranges) - 1, [])
+    _place(p, ranges, m, len(ranges) - 1, [], tuples)
     tuples.sort()
     return tuple(subgroups), tuple(tuples)
+
+
+def _place(p: int, ranges, remaining: int, e: int, pools, out: list):
+    """Append to out the index tuples whose summands of order at most p^e add up to remaining.
+
+    ranges[e] holds the positions of the subgroups of order p^e; pools hold
+    the choices for the larger orders, ascending.
+    """
+    choices = lambda c: tuple(itertools.combinations_with_replacement(ranges[e], c))
+    if e == 0:
+        for combo in itertools.product(choices(remaining), *pools):
+            out.append(tuple(itertools.chain.from_iterable(combo)))
+        return
+    for c in range(remaining // p ** e + 1):
+        _place(p, ranges, remaining - c * p ** e, e - 1, [choices(c)] + pools, out)
 
 
 def enumerate_sums(p: int, n: int, m: int):

@@ -31,6 +31,7 @@ ALLOWED = {
     "classfn.indicator": "the class function supported on one tuple class",
     "classfn.TransferIdeal.contains": "membership of a class function in the transfer ideal",
     "classfn.C0Element.sub": "subtraction in the coefficient ring C_0",
+    "classfn.to_json_dict": "a class function as one JSON object, read back by from_json_dict",
     "lattice.snf": "elementary divisors, the isomorphism type of an isogeny's kernel",
     "lattice.LatticeBasis.index": "[Z^n : Lambda_H] = |H| for an annihilator lattice",
 }

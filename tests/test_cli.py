@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -9,13 +10,29 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from charpow import cli, torsion
+from charpow import classfn, cli, torsion
 from charpow.cli import main
 from charpow.classfn import TABLE_CAP
-from charpow.classfn import from_json_dict, power_op, random_class_function, to_json_dict
+from charpow.classfn import (
+    from_json_dict,
+    power_op,
+    random_class_function,
+    to_json_dict,
+    total_power_op,
+)
 from charpow.groups import build_group
 from charpow.isogeny import random_section
 from charpow.torsion import enumerate_sums
+
+
+def _csv_text(header_record, rows) -> str:
+    """Oracle: the whole CSV document, built in one buffer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header_record)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def run(argv, capsys):
@@ -123,6 +140,20 @@ def test_powerop_bytes_are_pinned(args, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == POWEROP_DIGESTS[args]
+
+
+# SHA-256 of `powerop --input` of random_class_function(S3, p 2, n 2, level 2,
+# seed 5) at --m 3, recorded before the output was streamed class by class
+POWEROP_INPUT_DIGEST = "7b721b09f8e02776916cce35c1b2a05ca8cfa061df38838dcd9f0aef8903faf2"
+
+
+def test_powerop_input_bytes_are_pinned(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    f = random_class_function(build_group("S3"), 2, 2, 2, seed=5)
+    src.write_text(json.dumps(to_json_dict(f)))
+    code, out, _ = run(["powerop", "--input", str(src), "--m", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POWEROP_INPUT_DIGEST
 
 
 def test_bad_group_spec_exit_2(capsys):
@@ -577,7 +608,7 @@ def _oracle_sums_text(p, n, m, fmt):
         (i, s.total, "|".join(cli._matrix_cell(h.matrix) for h in s.summands))
         for i, s in enumerate(sums)
     ]
-    return cli._csv_text(("index", "total", "summands"), rows)
+    return _csv_text(("index", "total", "summands"), rows)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -593,18 +624,6 @@ def test_sums_listing_of_m_0_and_1_holds_one_sum(capsys):
     assert out == '{"count":1,"items":[{"summands":[],"total":0}],"kind":"sums","m":0,"n":2,"p":2}\n'
     _, out, _ = run(["enumerate", "--kind", "sums", "--m", "1", "--format", "csv"], capsys)
     assert out == "index,total,summands\ncount,1,\n0,1,1 0;0 1\n"
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_empty_sums_listing_matches_item_oracle(fmt, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "sum_index_tuples", lambda p, n, m: ((), ()))
-    code, out, _ = run(["enumerate", "--kind", "sums", "--m", "3", "--format", fmt], capsys)
-    if fmt == "json":
-        want = cli._canonical_json(
-            {"kind": "sums", "p": 2, "n": 2, "m": 3, "count": 0, "items": []})
-    else:
-        want = cli._csv_text(("index", "total", "summands"), [("count", 0, "")])
-    assert code == 0 and out == want
 
 
 def test_sums_listing_builds_no_sum(monkeypatch, capsys):
@@ -705,3 +724,134 @@ def test_powerop_input_rep_entries_are_strict(tmp_path, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "error: classes[1].rep = 1.0 is not an integer\n"
+
+
+# streamed output against the whole-document routes: one canonical JSON text
+# of to_json_dict, one CSV buffer
+
+def _read_output(argv, out_path, capsys):
+    """Exit code and output of argv, written to out_path, or to stdout if None."""
+    code = main(argv + (["--out", str(out_path)] if out_path else []))
+    out = capsys.readouterr().out
+    return code, out_path.read_text(encoding="utf-8") if out_path else out
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("total", [False, True])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_powerop_stream_matches_document_oracle(level, total, to_file, tmp_path, capsys):
+    # wr(S1,3) = S3 is covered at level 1; wr(C2,2) would need level 2
+    spec, m = ("S1", 3) if total else ("C2", 2)
+    group, op = build_group(spec), total_power_op if total else power_op
+    section = random_section(2, 2, 1, 7)
+    inputs = {name: cli._builtin_generator(name, group, 2, 2, level)
+              for name in ("one", "coord", "delta:5")}
+    inputs["--input"] = random_class_function(group, 2, 2, level, seed=5)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(to_json_dict(inputs["--input"])))
+    for name, f in inputs.items():
+        source = ["--input", str(src)] if name == "--input" else ["--generator", name]
+        argv = ["powerop", *source, "--group", spec, "--m", str(m), "--level", str(level),
+                "--section", "seeded:7", *(["--total"] if total else [])]
+        code, text = _read_output(argv, tmp_path / "out.json" if to_file else None, capsys)
+        assert code == 0, name
+        assert text == cli._canonical_json(to_json_dict(op(f, m, section))), name
+
+
+def _listing_oracle(kind, fmt, p, n, k, m, spec):
+    """The whole listing as one canonical JSON text or one CSV buffer."""
+    meta = {"p": p, "n": n}
+    if kind == "subgroups":
+        listing, header = cli.enumerate_subgroups(p, n, k), ("index", "order", "matrix")
+        meta["k"] = k
+        item = lambda h: {"matrix": h.matrix, "order": h.order}
+        row = lambda h: (h.order, cli._matrix_cell(h.matrix))
+    elif kind == "sums":
+        subgroups, tuples = cli.sum_index_tuples(p, n, m)
+        listing = [[subgroups[i] for i in t] for t in tuples]
+        header = ("index", "total", "summands")
+        meta["m"] = m
+        item = lambda hs: {"total": m, "summands": [h.matrix for h in hs]}
+        row = lambda hs: (m, "|".join(cli._matrix_cell(h.matrix) for h in hs))
+    else:
+        group = build_group(spec)
+        if kind == "wreath-classes":
+            group = cli.wreath_group(group, m)
+            meta["m"] = m
+        listing, header = cli.enumerate_hom_classes(group, n, p), ("index", "rep")
+        meta["group"] = group.name
+        if kind == "hom-classes":
+            item = lambda c: {"rep": c.rep, "elements": [str(group.elements[i]) for i in c.rep]}
+        else:
+            item = lambda c: {"rep": c.rep, "decorated": [
+                {"subgroup": h.matrix, "class": a.rep}
+                for h, a in cli.wreath_class_to_decorated(c).summands]}
+        row = lambda c: (" ".join(map(str, c.rep)),)
+    if fmt == "json":
+        items = [item(x) for x in listing]
+        return cli._canonical_json({"kind": kind, **meta, "count": len(items), "items": items})
+    rows = [("count", len(listing), *[""] * (len(header) - 2))]
+    return _csv_text(header, rows + [(i, *row(x)) for i, x in enumerate(listing)])
+
+
+LISTING_KINDS = [("subgroups", 2, 2, 2, 2, "S1"), ("subgroups", 3, 1, 3, 2, "S1"),
+                 ("sums", 2, 2, 1, 5, "S1"), ("sums", 3, 1, 1, 4, "S1"),
+                 ("hom-classes", 2, 2, 1, 2, "S4"), ("hom-classes", 3, 1, 1, 2, "S3xC3"),
+                 ("wreath-classes", 2, 2, 1, 3, "C2"), ("wreath-classes", 2, 1, 1, 2, "S3")]
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("kind, p, n, k, m, spec", LISTING_KINDS)
+def test_listing_stream_matches_document_oracle(kind, p, n, k, m, spec, fmt, to_file,
+                                                 tmp_path, capsys):
+    argv = ["enumerate", "--kind", kind, "--p", str(p), "--n", str(n), "--k", str(k),
+            "--m", str(m), "--group", spec, "--format", fmt]
+    code, text = _read_output(argv, tmp_path / "out.txt" if to_file else None, capsys)
+    assert code == 0
+    assert text == _listing_oracle(kind, fmt, p, n, k, m, spec)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("kind", ["subgroups", "sums", "hom-classes", "wreath-classes"])
+def test_empty_listing_stream_matches_document_oracle(kind, fmt, monkeypatch, capsys):
+    for name, empty in (("enumerate_subgroups", ()), ("sum_index_tuples", ((), ())),
+                        ("enumerate_hom_classes", ())):
+        monkeypatch.setattr(cli, name, lambda *args, empty=empty: empty)
+    argv = ["enumerate", "--kind", kind, "--group", "S2", "--m", "2", "--format", fmt]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == _listing_oracle(kind, fmt, 2, 2, 1, 2, "S2")
+
+
+def test_powerop_writes_before_the_last_class_is_formatted(tmp_path, monkeypatch):
+    # C2 wr S3 at level 3: 68 classes of 4096 entries, about 1 MB of JSON
+    out_path, sizes = tmp_path / "out.json", []
+    fraction_strings = classfn._fraction_strings
+
+    def formatted(val):
+        sizes.append(out_path.stat().st_size if out_path.exists() else None)
+        return fraction_strings(val)
+
+    monkeypatch.setattr(classfn, "_fraction_strings", formatted)
+    argv = ["powerop", "--group", "C2", "--m", "3", "--total", "--level", "3",
+            "--generator", "coord", "--out", str(out_path)]
+    assert main(argv) == 0
+    assert len(sizes) > 1 and sizes[-1] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["powerop", "--group", "C2", "--m", "2"], 5),  # the section bound is patched to 0
+     (["powerop", "--input", "IN", "--m", "2", "--level", "3"], 4),
+     (["enumerate", "--kind", "sums", "--n", "3", "--m", "40"], 3)],
+)
+def test_failing_command_leaves_out_file_unchanged(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "max_subgroup_exponent", lambda p, m: 0)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(to_json_dict(random_class_function(build_group("C2"), 2, 2, 2, 3))))
+    out_path = tmp_path / "out.json"
+    out_path.write_bytes(b"earlier output\n")
+    argv = [str(src) if a == "IN" else a for a in argv]
+    assert main(argv + ["--out", str(out_path)]) == code
+    assert out_path.read_bytes() == b"earlier output\n"

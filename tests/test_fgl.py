@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -398,3 +399,15 @@ def test_one_pass_series_code_matches_oracle_on_random_input(seed):
     # zero below degree 2, so adding x makes the linear coefficient 1
     s = _random_series(rng, ring, trunc, 2).add(TruncatedPoly.var(ring, 1, trunc, 0))
     assert _same(series_reversion(s), _oracle_series_reversion(s))
+
+
+def test_substitute_leaves_no_cyclic_garbage():
+    # the recursion of substitute is a module function: no closure refers to itself
+    law = build_honda(2, 2, 17)
+    gc.collect()
+    gc.disable()
+    try:
+        law.i_series(4)  # four substitutions, none cached before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -192,6 +192,22 @@ def test_perm_table_matches_searchsorted(m):
     assert (table == _searchsorted_perm_table(perms)).all()
 
 
+def test_perm_table_matches_tuple_composition():
+    # the keys are int32: every m with m! within ORDER_CAP has m^m < 2^31
+    admitted = itertools.takewhile(
+        lambda m: math.factorial(m) <= groups_module.ORDER_CAP, itertools.count(1))
+    assert all(m ** m < 2 ** 31 for m in admitted)
+    compose = lambda s, t: tuple(s[i] for i in t)
+    for m in range(1, 7):
+        perms = list(itertools.permutations(range(m)))
+        table = groups_module._perm_table(np.array(perms, dtype=np.intp, ndmin=2))
+        assert (table == _closure_table(perms, compose)).all(), m
+    # the S4 factor of wr(C2,4): (v, s) has index v 4! + s, and (v, s)(w, t) ends in s t
+    s4 = _closure_table(list(itertools.permutations(range(4))), compose)
+    factor = np.arange(384) % 24
+    assert (build_group("wr(C2,4)").table % 24 == s4[np.ix_(factor, factor)]).all()
+
+
 def _loop_orders(group):
     """Oracle: each element's order by repeated multiplication."""
     out = []

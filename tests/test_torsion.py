@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -498,3 +499,22 @@ def test_listed_sums_equal_and_hash_like_constructed_ones():
             built = SumOfSubgroups(tuple(reversed(s.summands)))
             assert built == s and hash(built) == hash(s)
             assert built.summands == s.summands and s.total == m
+
+
+def _cyclic_garbage(call) -> int:
+    """Objects that only the cycle collector frees after call()."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_sum_listing_leaves_no_cyclic_garbage():
+    # the recursive helpers are module functions: no closure refers to itself
+    for call in (lambda: torsion.sum_index_tuples(2, 3, 10),
+                 lambda: torsion._sum_count(2, 3, 10)):
+        call()  # fills the subgroup caches
+        assert _cyclic_garbage(call) == 0
