@@ -55,7 +55,6 @@ from .groups import (
     decorated_to_wreath_class,
     delta_embed,
     enumerate_hom_classes,
-    precompose,
     sum_to_symm_class,
     symm_class_to_sum,
     wreath_class_to_decorated,

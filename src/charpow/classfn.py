@@ -35,10 +35,10 @@ from .groups import (
     TupleClass,
     build_group,
     canonical_tuple,
+    canonical_tuples,
     delta_embed,
     enumerate_hom_classes,
     fixed_coset_conjugates,
-    precompose,
     product_group,
     split_product_class,
     symm_class_to_sum,
@@ -193,8 +193,13 @@ class C0Element:
         elif not _reduced:
             values, den, _bits = _normalized(values, den, _bits)
         values.flags.writeable = False
-        for name, value in zip(self.__slots__, (p, n, level, den, values, _bits, None)):
-            object.__setattr__(self, name, value)
+        _set_p(self, p)
+        _set_n(self, n)
+        _set_level(self, level)
+        _set_den(self, den)
+        _set_arr(self, values)
+        _set_bits(self, _bits)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"C0Element is immutable; cannot set {name}")
@@ -223,9 +228,7 @@ class C0Element:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.p, self.n, self.level, self.num, self.den))
-            )
+            _set_hash(self, hash((self.p, self.n, self.level, self.num, self.den)))
         return self._hash
 
     def __repr__(self):
@@ -297,6 +300,12 @@ class C0Element:
             raise LevelMismatchError("coefficient tables live at different levels")
 
 
+# The slots' own setters, past the __setattr__ that keeps a C0Element immutable.
+_set_p, _set_n, _set_level, _set_den, _set_arr, _set_bits, _set_hash = (
+    getattr(C0Element, name).__set__ for name in C0Element.__slots__
+)
+
+
 def c0_constant(p, n, level, c) -> C0Element:
     return C0Element(p, n, level, (c,) * _table_size(p, n, level))
 
@@ -315,11 +324,15 @@ def c0_delta(p, n, level, t: int) -> C0Element:
 
 
 def c0_random(p, n, level, rng: SplitMix64) -> C0Element:
-    """Entries (below(19) - 9) / (1 + below(4)) as integer numerators over 12, the lcm of 1..4."""
-    size = _table_size(p, n, level)
-    # the left operand is evaluated first, so each entry draws its numerator, then its denominator
-    nums = [(rng.below(19) - 9) * (12 // (1 + rng.below(4))) for _ in range(size)]
-    return C0Element(p, n, level, nums, 12)
+    """Entries (below(19) - 9) / (1 + below(4)) as integer numerators over 12, the lcm of 1..4.
+
+    Each entry draws its numerator, then its denominator, all 2 * size
+    draws at once; |numerator| <= 9 * 12 < 2**7.
+    """
+    z = rng.next_u64_array(2 * _table_size(p, n, level))
+    nums = (z[0::2] % 19).astype(np.int64) - 9
+    nums *= np.array([12, 6, 4, 3])[z[1::2] % 4]  # 12 // (1 + below(4))
+    return C0Element(p, n, level, nums, 12, _bits=7)
 
 
 @dataclass(frozen=True)
@@ -482,12 +495,12 @@ def act_by_residue(f: ClassFunction, gbar) -> ClassFunction:
     lift = tuple(tuple(int(x) % q for x in row) for row in gbar)
     if mat_det(lift) % f.p == 0:
         raise ValueError("matrix is not invertible mod p")
-    tr = mat_transpose(lift)
+    reps = list(_class_positions(f.group, f.n, f.p))
+    srcs = canonical_tuples(f.group, reps, mat_transpose(lift)).tolist()
     out = {}
-    for cls in enumerate_hom_classes(f.group, f.n, f.p):
-        src = precompose(cls, tr).rep
+    for rep, src in zip(reps, map(tuple, srcs)):
         if src in f.values:
-            out[cls.rep] = f.values[src].act_matrix_left(lift)
+            out[rep] = f.values[src].act_matrix_left(lift)
     return f._like(out)
 
 
@@ -528,32 +541,33 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
 
     A pair is numbered c * size + t.  Returns the orbit label of each pair,
     orbits numbered from 0, as a read-only intp array, and the size of each
-    orbit.  A generator g sends (c, t) to the pair that act_by_residue
-    reads: (pos of [alpha_c g^T], perm_g[t]).
+    orbit.  A generator g permutes the pairs, sending (c, t) to the pair
+    that act_by_residue reads: (pos of [alpha_c g^T], perm_g[t]).
+
+    Each pair starts labelled by its own number and takes the least label
+    across every generator edge, and then the label of its label, until
+    nothing changes.  A label is always a pair of the same orbit and never
+    above the pair, so at the fixed point each orbit carries its least pair.
     """
-    classes = enumerate_hom_classes(group, n, p)
     pos = _class_positions(group, n, p)
+    reps = list(pos)
     size = _table_size(p, n, level)
-    parent = list(range(len(classes) * size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    moves = []  # per generator: the first pair of each class's image, and the matrix
     for g in _gl_generators(p, level, n):
-        perm = _left_translation_perm(p, level, n, _flatten(g)).tolist()
-        tr = mat_transpose(g)
-        for c, cls in enumerate(classes):
-            start, image = c * size, pos[precompose(cls, tr).rep] * size
-            for t in range(size):
-                a, b = find(start + t), find(image + perm[t])
-                if a != b:
-                    parent[a] = b
-    _, labels, counts = np.unique(
-        [find(x) for x in range(len(parent))], return_inverse=True, return_counts=True
-    )
+        images = canonical_tuples(group, reps, mat_transpose(g)).tolist()
+        start = np.array([pos[tuple(rep)] for rep in images])[:, None] * size
+        moves.append((start, _flatten(g)))
+    labels = np.arange(len(reps) * size)
+    while True:
+        before = labels
+        for start, g in moves:  # one pair permutation at a time, from the bounded perm cache
+            edge = (start + _left_translation_perm(p, level, n, g)).ravel()
+            labels = np.minimum(labels, labels[edge])
+            labels[edge] = np.minimum(labels[edge], labels)
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    _, labels, counts = np.unique(labels, return_inverse=True, return_counts=True)
     labels = labels.astype(np.intp)
     labels.flags.writeable = False
     return labels, tuple(counts.tolist())
@@ -617,11 +631,13 @@ def restrict(f: ClassFunction, hom: Homomorphism) -> ClassFunction:
     """Pullback along a homomorphism: (hom^* f)([alpha]) = f([hom . alpha])."""
     if hom.target is not f.group:
         raise ValueError("homomorphism target does not match the class function")
+    reps = list(_class_positions(hom.source, f.n, f.p))
+    # the image of a commuting p-power tuple under a homomorphism is one
+    srcs = canonical_tuples(f.group, [[hom(i) for i in rep] for rep in reps]).tolist()
     out = {}
-    for cls in enumerate_hom_classes(hom.source, f.n, f.p):
-        src = TupleClass(f.group, tuple(hom(i) for i in cls.rep), f.p).rep
+    for rep, src in zip(reps, map(tuple, srcs)):
         if src in f.values:
-            out[cls.rep] = f.values[src]
+            out[rep] = f.values[src]
     return ClassFunction(hom.source, f.p, f.n, f.level, out)
 
 
@@ -647,11 +663,13 @@ def transfer_counts(iota: Homomorphism, alpha: TupleClass):
     if not iota.is_injective():
         raise NotASubgroupError("transfer needs an injective homomorphism")
     inside = {img: src for src, img in enumerate(iota.mapping)}
+    # a conjugate of alpha inside the image pulls back to a commuting p-power tuple
+    pulled = [
+        [inside[x] for x in conj]
+        for _, conj in fixed_coset_conjugates(iota.target, set(inside), alpha.rep)
+    ]
     counts = {}
-    for _, conj in fixed_coset_conjugates(iota.target, set(inside), alpha.rep):
-        src_rep = TupleClass(
-            iota.source, tuple(inside[x] for x in conj), alpha.p
-        ).rep
+    for src_rep in map(tuple, canonical_tuples(iota.source, pulled).tolist()):
         counts[src_rep] = counts.get(src_rep, 0) + 1
     return counts
 
@@ -701,22 +719,28 @@ def _summand_structure(target: FiniteGroup, n: int, p: int, summands):
 
 
 def _section_plan(section: Section, target: FiniteGroup, summands, dual):
-    """(rep, ((source key, phi_H), ...)) for each class of the target.
+    """(factors, classes): each distinct summand (H, alpha) of the target's classes
+    once, as (source key, phi_H), and (rep, (factor index, ...)) for each class.
 
-    The source key is the rep of [alpha . dual(phi_H)].  A plan depends on
-    the section's assignment but not on f or the level, so it is built once
-    and kept on the section itself; Section == ignores the assignment, so
-    sections are never matched by equality.
+    The source key is the rep of [alpha . dual(phi_H)], and all of them come
+    from one canonical_tuples call.  A plan depends on the section's
+    assignment but not on f or the level, so it is built once and kept on
+    the section itself; Section == ignores the assignment, so sections are
+    never matched by equality.
     """
     key = (target, summands, dual)
     if key not in section._plans:
-        section._plans[key] = tuple(
-            (rep, tuple(
-                (precompose(alpha, dual(phi := section.isogeny_for(h))).rep, phi)
-                for h, alpha in terms
-            ))
+        index = {}
+        classes = tuple(
+            (rep, tuple(index.setdefault(term, len(index)) for term in terms))
             for rep, terms in _summand_structure(target, section.n, section.p, summands)
         )
+        phis = [section.isogeny_for(h) for h, _ in index]
+        group = next((alpha.group for _, alpha in index), None)  # the source of f
+        srcs = canonical_tuples(
+            group, [alpha.rep for _, alpha in index], [dual(phi) for phi in phis]
+        ).tolist()
+        section._plans[key] = (tuple(zip(map(tuple, srcs), phis)), classes)
     return section._plans[key]
 
 
@@ -734,14 +758,22 @@ def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
         )
     target = make_target(f.group, m)
     _require_level_covers(target, f.p, f.level)
+    factors, classes = _section_plan(section, target, summands, dual)
+    moved = [None] * len(factors)
+
+    def term(i):
+        """f([alpha . dual(phi_H)]) . phi_H of factor i, gathered once per call."""
+        if moved[i] is None:
+            src, phi = factors[i]
+            moved[i] = f.values[src].act_isogeny(phi)
+        return moved[i]
+
     out = {}
-    for rep, terms in _section_plan(section, target, summands, dual):
+    for rep, terms in classes:
         if not terms:  # the empty product, at m = 0
             out[rep] = c0_constant(f.p, f.n, f.level, 1)
-        elif all(src in f.values for src, _ in terms):  # else f vanishes, and so does the product
-            out[rep] = reduce(
-                C0Element.mul, (f.values[src].act_isogeny(phi) for src, phi in terms)
-            )
+        elif all(factors[i][0] in f.values for i in terms):  # else the product vanishes
+            out[rep] = reduce(C0Element.mul, map(term, terms))
     return ClassFunction(target, f.p, f.n, f.level, out)
 
 

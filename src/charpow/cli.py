@@ -43,6 +43,7 @@ from .groups import (
 )
 from .isogeny import canonical_section, random_section
 from .lattice import is_prime
+from .rng import MASK64
 from .torsion import enumerate_subgroups, max_subgroup_exponent, sum_index_tuples
 from .verify import VerifyConfig, run_suites
 
@@ -119,12 +120,23 @@ def _spec_int(flag: str, spec: str) -> int:
         raise ValueError(f"{flag} {spec!r}: {suffix!r} is not an integer") from None
 
 
+def _seed(where: str, seed: int) -> int:
+    """seed, or a ValueError naming where unless it is a SplitMix64 seed, 0..2^64 - 1.
+
+    SplitMix64 keeps a seed mod 2^64, so a seed outside would alias one inside.
+    """
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"{where}: seed = {seed} is outside 0..{MASK64}")
+    return seed
+
+
 def _make_section(args, bound: int):
     spec = args.section
     if spec == "canonical":
         return canonical_section(args.p, args.n, bound)
     if spec.startswith("seeded:"):
-        return random_section(args.p, args.n, bound, _spec_int("--section", spec))
+        seed = _seed(f"--section {spec!r}", _spec_int("--section", spec))
+        return random_section(args.p, args.n, bound, seed)
     raise ValueError(f"bad section spec {spec!r}")
 
 
@@ -307,6 +319,8 @@ def _check_ranges(args):
         value = getattr(args, name, low)
         if value < low:
             raise ValueError(f"{name} = {value} must be at least {low}")
+    if hasattr(args, "seed"):
+        _seed("--seed", args.seed)
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .lattice import (
     LatticeBasis,
-    Matrix,
     _flip,
     int_valuation,
     is_p_power,
@@ -150,17 +149,17 @@ class FiniteGroup:
         order of x: O(log^2 |G|) table gathers in all.
         """
         if self._orders is None:
+            x = np.arange(self.order)
             d = np.full(self.order, self.order, dtype=np.int64)
             for r in _prime_factors(self.order):
                 trial = np.where(d % r == 0, d // r, d)
-                d = np.where(self._powers(trial) == self.identity, trial, d)
+                d = np.where(self._powers(x, trial) == self.identity, trial, d)
             self._orders = d
         return self._orders
 
-    def _powers(self, exps):
-        """x^exps[x] for every element x, by repeated squaring with table gathers."""
-        acc = np.full(self.order, self.identity, dtype=np.intp)
-        base = np.arange(self.order)
+    def _powers(self, base, exps):
+        """base[i]^exps[i] for every i of one shape, by repeated squaring with table gathers."""
+        acc = np.full(exps.shape, self.identity, dtype=np.intp)
         while exps.any():
             odd = (exps & 1) == 1
             acc[odd] = self.table[acc[odd], base[odd]]
@@ -201,16 +200,50 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _conjugated_columns(group, tup):
+def canonical_tuples(group, tuples, mats=None):
+    """Canonical rep of [alpha . T] for each tuple alpha and its matrix T, as int rows.
+
+    The tuple h_j = prod_i g_i^{T[i][j]} is formed by repeated squaring
+    over table gathers, with each exponent taken mod the order of g_i, so
+    negative entries work; mats is one matrix for every tuple or one per
+    tuple, and None stands for the identity.  Of the conjugates x h x^-1,
+    all formed at once, lexsort picks the least.  Blocks of tuples keep
+    each transient within about _CHECK_BLOCK entries.  No p-power or
+    commuting check is made: a tuple that passed them keeps them under
+    precomposition and conjugation.  No tuples give an empty array.
+    """
+    if not len(tuples):
+        return np.empty((0, 0), dtype=np.intp)
     table, inv = group.table, group.inv
-    return [table[table[:, g].astype(np.intp), inv.astype(np.intp)] for g in tup]
+    tuples = np.asarray(tuples, dtype=np.intp)
+    k, n = tuples.shape
+    width = n
+    if mats is not None:
+        t = np.asarray(mats)
+        if t.dtype == object:  # entries past int64: every element order divides |G|
+            t = t % group.order
+        width = t.shape[-1]
+        t = np.broadcast_to(t.astype(np.int64), (k, n, width))
+    rows = max(1, _CHECK_BLOCK // (width * max(group.order, n)))
+    out = []
+    for b in range(0, k, rows):
+        h = tuples[b:b + rows]
+        if mats is not None:
+            exps = t[b:b + rows] % group.orders()[h][:, :, None]
+            acc = group._powers(np.broadcast_to(h[:, :, None], exps.shape), exps)
+            h = acc[:, 0]
+            for i in range(1, n):
+                h = table[h, acc[:, i]]
+        # conj[x, c, j] = x h_cj x^-1
+        conj = table[table.take(h.ravel(), axis=1), inv[:, None]].reshape(-1, *h.shape)
+        x0 = np.lexsort(conj.T[::-1], axis=-1)[:, 0]
+        out.append(conj[x0, np.arange(len(h))])
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def canonical_tuple(group, tup):
     """Lexicographically least member of the simultaneous-conjugacy orbit."""
-    cols = _conjugated_columns(group, tup)
-    x0 = int(np.lexsort(tuple(cols[::-1]))[0])
-    return tuple(int(c[x0]) for c in cols)
+    return tuple(canonical_tuples(group, [tup])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -622,12 +655,6 @@ def _evaluate(group: FiniteGroup, rep, vec) -> int:
     return acc
 
 
-def precompose(alpha: TupleClass, t: Matrix) -> TupleClass:
-    """Class of the tuple h_j = prod_i g_i^{T[i][j]} (right action of matrices)."""
-    out = tuple(_evaluate(alpha.group, alpha.rep, col) for col in zip(*t))
-    return TupleClass(alpha.group, out, alpha.p)
-
-
 def fixed_coset_conjugates(group: FiniteGroup, image: set, rep: tuple):
     """(g, g^-1 rep g) for each coset g.image fixed by every entry of rep.
 
@@ -886,17 +913,21 @@ def wreath_class_to_decorated(beta: TupleClass) -> DecoratedSum:
         raise ValueError("wreath_class_to_decorated needs a wreath group class")
     g = wreath.structure[1]
     perms = [wreath.elements[i][1] for i in beta.rep]
-    summands = []
+    subgroups, decorations = [], []
     for x0, basis, h in _orbit_subgroups(perms, beta.p, beta.n):
         decoration = []
         for col in zip(*basis.matrix):
             vec, s = wreath.elements[_evaluate(wreath, beta.rep, col)]
             assert s[x0] == x0
             decoration.append(g.index[vec[x0]])
-        # the entries are the image of beta's commuting p-power tuple under
-        # Stab(x0) -> G, (v, s) -> v[x0], so they pass the constructor's checks
-        summands.append((h, TupleClass._canonical(g, canonical_tuple(g, decoration), beta.p)))
-    return DecoratedSum(tuple(summands))
+        subgroups.append(h)
+        decorations.append(decoration)
+    # the entries are the image of beta's commuting p-power tuple under
+    # Stab(x0) -> G, (v, s) -> v[x0], so they pass the constructor's checks
+    reps = canonical_tuples(g, decorations).tolist()
+    return DecoratedSum(tuple(
+        (h, TupleClass._canonical(g, tuple(rep), beta.p)) for h, rep in zip(subgroups, reps)
+    ))
 
 
 def decorated_to_wreath_class(s: DecoratedSum, n: int) -> TupleClass:

@@ -16,7 +16,10 @@ with all arithmetic mod 2^64.  ``below(n)`` is plain ``next_u64() % n``.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15  # the state's increment per draw
 
 
 class SplitMix64:
@@ -24,7 +27,7 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        self.state = (self.state + GAMMA) & MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -32,6 +35,18 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         return self.next_u64() % n
+
+    def next_u64_array(self, count: int):
+        """The next count outputs at once, as a uint64 array, with the state advanced past them.
+
+        The state after draw k is state + k * GAMMA mod 2^64; uint64 array
+        arithmetic wraps mod 2^64 without a warning.
+        """
+        z = np.uint64(self.state) + np.arange(1, count + 1, dtype=np.uint64) * GAMMA
+        self.state = (self.state + count * GAMMA) & MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        return z ^ (z >> 31)
 
 
 def random_unimodular(rng: SplitMix64, n: int):

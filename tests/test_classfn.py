@@ -8,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from charpow import classfn as classfn_module
 from charpow.classfn import (
     CLASSFN_CACHE,
     INT64_BITS,
@@ -57,7 +58,6 @@ from charpow.groups import (
     build_group,
     delta_embed,
     enumerate_hom_classes,
-    precompose,
     product_group,
     split_product_class,
     symm_class_to_sum,
@@ -88,6 +88,8 @@ from charpow.verify import (
     transfer_of_one_is_regular,
     transfer_restriction_identity,
 )
+
+from test_groups import precompose
 
 P, N, LEVEL = 2, 2, 2
 
@@ -198,7 +200,8 @@ def random_fraction(rng: SplitMix64):
     return Fraction(num, den)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("p, n, level", [(2, 2, 2), (2, 2, 4), (3, 2, 2), (2, 1, 3)])
 def test_c0_random_matches_fraction_oracle(p, n, level, seed):
     rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
@@ -216,6 +219,19 @@ def test_splitmix64_reference_outputs():
     ]
     rng = SplitMix64(1234567)
     assert [rng.next_u64() for _ in range(2)] == [0x599ED017FB08FC85, 0x2C73F08458540FA5]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [0, 1, 2, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_splitmix64_array_draw_matches_scalar_stream(seed, count):
+    rng, oracle = SplitMix64(seed), SplitMix64(seed)
+    rng.next_u64(), oracle.next_u64()  # from a state that is not the seed
+    z = rng.next_u64_array(count)
+    assert z.dtype == np.uint64
+    assert z.tolist() == [oracle.next_u64() for _ in range(count)]
+    assert rng.state == oracle.state
+    assert rng.next_u64() == oracle.next_u64()
 
 
 # SHA-256 of the canonical JSON (sorted keys, fixed separators, newline) of
@@ -643,6 +659,61 @@ def test_average_matches_full_group_mean(spec, p, n, level):
         assert _mean_over(h, general_linear_residues(p, level, n)) == hav
 
 
+def _orbits_by_union_find(group, n, p, level):
+    """Oracle of _orbits: union-find over the pairs, one generator edge at a time.
+
+    Orbits are numbered by their least pair, as np.unique numbers them.
+    """
+    classes = enumerate_hom_classes(group, n, p)
+    pos = {c.rep: i for i, c in enumerate(classes)}
+    size = (p ** level) ** (n * n)
+    parent = list(range(len(classes) * size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in _gl_generators(p, level, n):
+        perm = _left_translation_perm(p, level, n, tuple(x for row in g for x in row)).tolist()
+        tr = mat_transpose(g)
+        for c, cls in enumerate(classes):
+            start, image = c * size, pos[precompose(cls, tr).rep] * size
+            for t in range(size):
+                a, b = find(start + t), find(image + perm[t])
+                if a != b:  # the least pair stays the root
+                    parent[max(a, b)] = min(a, b)
+    _, labels, counts = np.unique(
+        [find(x) for x in range(len(parent))], return_inverse=True, return_counts=True
+    )
+    return labels, tuple(counts.tolist())
+
+
+def _orbit_cases():
+    """(spec, n, level) for S1, C2, C4 and S3: at n = 2 every level within TABLE_CAP,
+    at n = 1 the levels up to 8, past which GL_1 has 2^(level-1) - 1 generators."""
+    out = []
+    for spec, n in itertools.product(("S1", "C2", "C4", "S3"), (1, 2)):
+        low = 2 if spec == "C4" else 1
+        out += [(spec, n, level) for level in range(low, (8 if n == 1 else 4) + 1)]
+    return out
+
+
+@pytest.mark.parametrize("spec, n, level", _orbit_cases())
+def test_orbits_match_union_find(spec, n, level, monkeypatch):
+    group = build_group(spec)
+    labels, counts = classfn_module._orbits(group, n, P, level)
+    oracle_labels, oracle_counts = _orbits_by_union_find(group, n, P, level)
+    # orbits numbered by their least pair on both sides: the same partition
+    assert labels.tolist() == oracle_labels.tolist()
+    assert counts == oracle_counts
+    f = random_class_function(group, P, n, level, seed=level)
+    fav = average(f)
+    monkeypatch.setattr(classfn_module, "_orbits", lambda *key: (oracle_labels, oracle_counts))
+    assert average(f) == fav
+
+
 @pytest.mark.parametrize("spec", ["S1", "C2", "S3"])
 def test_is_invariant_matches_full_loop(spec):
     f = random_class_function(build_group(spec), P, N, LEVEL, seed=6)
@@ -934,6 +1005,18 @@ def test_power_ops_match_per_call_oracle(n, spec):
             assert op(g, m, section) == _power_product_per_call(g, m, section, total), (
                 group, m, total, level
             )
+
+
+def test_total_power_op_gathers_each_factor_once(monkeypatch):
+    """C2 wr S3 at n = 2 has 68 classes and 156 summands, over 16 distinct
+    factors f([alpha . dual(phi_H)]) . phi_H."""
+    calls = []
+    act = C0Element.act_isogeny
+    monkeypatch.setattr(C0Element, "act_isogeny", lambda c, phi: calls.append(phi) or act(c, phi))
+    f = random_class_function(build_group("C2"), P, 2, 2, seed=3)
+    out = total_power_op(f, 3, canonical_section(P, 2, 1))
+    assert len(out.values) == 68
+    assert len(calls) <= 16
 
 
 def test_plan_is_not_shared_by_equal_sections(s3):

@@ -582,6 +582,28 @@ def test_bad_builtin_spec_suffix_exits_2_naming_the_flag(argv, shown, capsys):
     assert err.startswith(f"error: {shown}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_u64_exits_2_naming_the_flag(seed, capsys):
+    # SplitMix64 keeps a seed mod 2^64: 2^64 would write the bytes of seed 0,
+    # and -1 those of 2^64 - 1
+    bound = "is outside 0..18446744073709551615\n"
+    code, out, err = run(["powerop", "--m", "2", "--section", f"seeded:{seed}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --section 'seeded:{seed}': seed = {seed} {bound}"
+    code, out, err = run(["verify", "--suite", "fgl", "--seed", str(seed)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed: seed = {seed} {bound}"
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_at_either_end_of_u64_exits_0(seed, capsys):
+    code, out, err = run(["powerop", "--m", "2", "--section", f"seeded:{seed}"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classes"]
+    code, out, err = run(["verify", "--suite", "fgl", "--seed", str(seed)], capsys)
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("t", [0, 255])
 def test_delta_at_either_end_of_the_table_exits_0(t, capsys):
     code, out, err = run(["powerop", "--m", "2", "--generator", f"delta:{t}"], capsys)

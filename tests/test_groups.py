@@ -26,14 +26,15 @@ from charpow.groups import (
     Subgroup,
     TupleClass,
     abelian_subgroups,
+    _evaluate,
     build_group,
     canonical_tuple,
+    canonical_tuples,
     delta_embed,
     diagonal_wreath_hom,
     enumerate_hom_classes,
     fixed_coset_conjugates,
     include_left_factor,
-    precompose,
     product_delta_homs,
     product_group,
     split_product_class,
@@ -44,7 +45,8 @@ from charpow.groups import (
     times_hom,
     wreath_class_to_decorated,
 )
-from charpow.lattice import LatticeBasis, column_span_basis, mat_transpose, row_hnf
+from charpow.lattice import LatticeBasis, column_span_basis, mat_mul, mat_transpose, row_hnf
+from charpow.rng import SplitMix64
 from charpow.torsion import (
     SumOfSubgroups,
     TorsionSubgroup,
@@ -71,6 +73,20 @@ from test_torsion import subgroup_from_generators
 def _conjugate(g, x, a):
     """x a x^-1, by two table products."""
     return g.mul(g.mul(x, a), int(g.inv[x]))
+
+
+def precompose(alpha: TupleClass, t) -> TupleClass:
+    """Oracle of canonical_tuples: the class of h_j = prod_i g_i^{T[i][j]}, one tuple at a time.
+
+    Each power is a loop of products; the checked constructor asks that h
+    has p-power entries that commute, and the least conjugate comes from a
+    scan of the whole group.
+    """
+    g = alpha.group
+    h = tuple(_evaluate(g, alpha.rep, col) for col in zip(*t))
+    TupleClass(g, h, alpha.p)
+    least = min(tuple(_conjugate(g, x, e) for e in h) for x in range(g.order))
+    return TupleClass._canonical(g, least, alpha.p)
 
 
 def test_build_group_orders():
@@ -558,11 +574,10 @@ def test_public_tuple_class_canonicalizes_and_checks():
         TupleClass(g, (four_cycle, swap), 2)
 
 
-def test_precompose_identity_and_kill():
+def test_canonical_tuples_identity_and_kill():
     g = build_group("C2")
-    alpha = TupleClass(g, (1,), 2)
-    assert precompose(alpha, ((1,),)) == alpha
-    assert precompose(alpha, ((2,),)) == TupleClass(g, (0,), 2)
+    assert canonical_tuples(g, [(1,)], ((1,),)).tolist() == [[1]]
+    assert canonical_tuples(g, [(1,)], ((2,),)).tolist() == [[0]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -570,14 +585,46 @@ def test_precompose_identity_and_kill():
     st.tuples(*[st.tuples(*[st.integers(-4, 4)] * 2)] * 2),
     st.tuples(*[st.tuples(*[st.integers(-4, 4)] * 2)] * 2),
 )
-def test_precompose_right_action(t1, t2):
+def test_canonical_tuples_right_action(t1, t2):
     g = build_group("S3")
-    from charpow.lattice import mat_mul
+    reps = [alpha.rep for alpha in enumerate_hom_classes(g, 2, 2)]
+    lhs = canonical_tuples(g, canonical_tuples(g, reps, t1), t2)
+    assert np.array_equal(lhs, canonical_tuples(g, reps, mat_mul(t1, t2)))
 
-    for alpha in enumerate_hom_classes(g, 2, 2):
-        lhs = precompose(precompose(alpha, t1), t2)
-        rhs = precompose(alpha, mat_mul(t1, t2))
-        assert lhs == rhs
+
+KERNEL_GROUPS = ("S1", "S2", "S3", "S4", "C2", "C4", "C2xC2", "C2xS3", "wr(C2,2)", "wr(S2,2)")
+
+
+@pytest.mark.parametrize("block", [None, 1, 40])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_canonical_tuples_match_checked_oracle(spec, n, block, monkeypatch):
+    """One seeded matrix per class, with entries in [-9, 9]: negative ones,
+    and ones above every element order here (at most 4)."""
+    if block is not None:
+        monkeypatch.setattr(groups_module, "_CHECK_BLOCK", block)
+    g = build_group(spec)
+    classes = enumerate_hom_classes(g, n, 2)
+    rng = SplitMix64(len(classes) * n)
+    mats = [
+        tuple(tuple(rng.below(19) - 9 for _ in range(n)) for _ in range(n)) for _ in classes
+    ]
+    got = canonical_tuples(g, [alpha.rep for alpha in classes], mats)
+    assert got.shape == (len(classes), n)
+    assert [tuple(row) for row in got.tolist()] == [
+        precompose(alpha, t).rep for alpha, t in zip(classes, mats)
+    ]
+    # one matrix for every tuple, and a matrix with more columns than rows
+    wide = tuple(tuple(rng.below(19) - 9 for _ in range(n + 1)) for _ in range(n))
+    got = canonical_tuples(g, [alpha.rep for alpha in classes], wide)
+    assert [tuple(row) for row in got.tolist()] == [precompose(a, wide).rep for a in classes]
+
+
+def test_canonical_tuples_reduce_entries_past_int64():
+    g = build_group("C4")
+    big = 2 ** 70 + 3  # 3 mod every element order of C4
+    assert canonical_tuples(g, [(1,)], ((big,),)).tolist() == [[3]]
+    assert canonical_tuples(g, [(1,)], ((-big,),)).tolist() == [[1]]
 
 
 def test_symm_class_to_sum_identity_tuple():
