@@ -33,6 +33,7 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     TupleClass,
+    _prime_factors,
     build_group,
     canonical_tuple,
     canonical_tuples,
@@ -337,7 +338,7 @@ def c0_random(p, n, level, rng: SplitMix64) -> C0Element:
 
 @dataclass(frozen=True)
 class StabilizerElement:
-    """Invertible matrix mod p^level acting by (c . s)(xi) = c(xi s)."""
+    """Invertible n x n matrix mod p^level, reduced, acting by (c . s)(xi) = c(xi s)."""
 
     p: int
     n: int
@@ -347,16 +348,17 @@ class StabilizerElement:
     def __post_init__(self):
         q = self.p ** self.level
         ent = tuple(tuple(int(x) % q for x in row) for row in self.entries)
+        if len(ent) != self.n or any(len(row) != self.n for row in ent):
+            raise ValueError(f"matrix {ent} is not {self.n} x {self.n}")
         object.__setattr__(self, "entries", ent)
-        if mat_det(ent) % self.p == 0:
-            raise ValueError("stabilizer element must be invertible mod p")
+        if not _is_invertible_mod_p(self.p, self.n, _flatten(ent)):
+            raise ValueError("matrix is not invertible mod p")
 
 
 def random_stabilizer(p, n, level, rng: SplitMix64) -> StabilizerElement:
-    q = p ** level
     while True:
-        ent = tuple(tuple(rng.below(q) for _ in range(n)) for _ in range(n))
-        if mat_det(ent) % p != 0:
+        ent = tuple(tuple(rng.below(p ** level) for _ in range(n)) for _ in range(n))
+        if _is_invertible_mod_p(p, n, _flatten(ent)):
             return StabilizerElement(p, n, level, ent)
 
 
@@ -484,6 +486,12 @@ def _require_level_covers(group: FiniteGroup, p: int, level: int):
         )
 
 
+def _pulled_back(group: FiniteGroup, n: int, p: int, g) -> list:
+    """For each class [alpha] in class order, the canonical rep of [alpha g^T]."""
+    reps = list(_class_positions(group, n, p))
+    return list(map(tuple, canonical_tuples(group, reps, mat_transpose(g)).tolist()))
+
+
 def act_by_residue(f: ClassFunction, gbar) -> ClassFunction:
     """Right action of an invertible matrix mod p^level on a class function.
 
@@ -491,39 +499,37 @@ def act_by_residue(f: ClassFunction, gbar) -> ClassFunction:
     transpose, values move by left translation.
     """
     _require_level_covers(f.group, f.p, f.level)
-    q = f.p ** f.level
-    lift = tuple(tuple(int(x) % q for x in row) for row in gbar)
-    if mat_det(lift) % f.p == 0:
-        raise ValueError("matrix is not invertible mod p")
-    reps = list(_class_positions(f.group, f.n, f.p))
-    srcs = canonical_tuples(f.group, reps, mat_transpose(lift)).tolist()
+    g = StabilizerElement(f.p, f.n, f.level, gbar).entries
     out = {}
-    for rep, src in zip(reps, map(tuple, srcs)):
+    for rep, src in zip(_class_positions(f.group, f.n, f.p), _pulled_back(f.group, f.n, f.p, g)):
         if src in f.values:
-            out[rep] = f.values[src].act_matrix_left(lift)
+            out[rep] = f.values[src].act_matrix_left(g)
     return f._like(out)
 
 
 def aut_act(f: ClassFunction, gamma: PAdicMatrix) -> ClassFunction:
-    """(f . gamma)([alpha]) = f([alpha gamma^T]) . gamma, for unimodular gamma.
+    """(f . gamma)([alpha]) = f([alpha gamma^T]) . gamma, for gamma invertible mod p.
 
     This is the action of Aut((Q_p/Z_p)^n) = GL_n(Z_p) on class functions;
     the character map of Hopkins-Kuhn-Ravenel lands in its invariants.
     """
     if gamma.p != f.p:
         raise LevelMismatchError("prime mismatch")
-    if not gamma.is_automorphism():
-        raise ValueError("aut_act needs a matrix of determinant valuation 0")
     return act_by_residue(f, gamma.entries)
 
 
 def _gl_generators(p, level, n):
-    """Generators of GL_n(Z/p^level): the transvections 1 + E_ij (i != j) and
-    diag(u, 1, ..., 1) for each unit u != 1.
-
-    Over a local ring the elementary matrices E_ij(r) = E_ij(1)^r generate
-    SL_n, and diag(det, 1, ..., 1) supplies the rest.
+    """Generators of GL_n(Z/p^level), at most n(n - 1) + 3: the transvections
+    1 + E_ij (i != j), then diag(u, 1, ..., 1) for u in (r, 1 + p, -1) mod
+    p^level, r the least primitive root mod p, dropping u = 1 and repeats.
+    Over a local ring the E_ij(t) = E_ij(1)^t generate SL_n; the u generate
+    the units, hence GL_n / SL_n: r mod p, 1 + p the kernel 1 + pZ/p^level
+    at odd p, and -1 and 3 all of them at p = 2.
     """
+    q = p ** level
+    orders = [(p - 1) // r for r in set(_prime_factors(p - 1))]
+    root = next(r for r in range(1, p) if all(pow(r, k, p) != 1 for k in orders))
+    units = dict.fromkeys(u % q for u in (root, 1 + p, -1) if u % q != 1)
 
     def identity_but(cells):
         return tuple(
@@ -531,7 +537,7 @@ def _gl_generators(p, level, n):
         )
 
     return [identity_but({ij: 1}) for ij in itertools.permutations(range(n), 2)] + [
-        identity_but({(0, 0): u}) for u in range(2, p ** level) if u % p
+        identity_but({(0, 0): u}) for u in units
     ]
 
 
@@ -542,7 +548,7 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     A pair is numbered c * size + t.  Returns the orbit label of each pair,
     orbits numbered from 0, as a read-only intp array, and the size of each
     orbit.  A generator g permutes the pairs, sending (c, t) to the pair
-    that act_by_residue reads: (pos of [alpha_c g^T], perm_g[t]).
+    that act_by_residue reads: (pos of _pulled_back's [alpha_c g^T], perm_g[t]).
 
     Each pair starts labelled by its own number and takes the least label
     across every generator edge, and then the label of its label, until
@@ -550,14 +556,12 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     above the pair, so at the fixed point each orbit carries its least pair.
     """
     pos = _class_positions(group, n, p)
-    reps = list(pos)
     size = _table_size(p, n, level)
     moves = []  # per generator: the first pair of each class's image, and the matrix
     for g in _gl_generators(p, level, n):
-        images = canonical_tuples(group, reps, mat_transpose(g)).tolist()
-        start = np.array([pos[tuple(rep)] for rep in images])[:, None] * size
+        start = np.array([pos[src] for src in _pulled_back(group, n, p, g)])[:, None] * size
         moves.append((start, _flatten(g)))
-    labels = np.arange(len(reps) * size)
+    labels = np.arange(len(pos) * size)
     while True:
         before = labels
         for start, g in moves:  # one pair permutation at a time, from the bounded perm cache
@@ -618,9 +622,7 @@ def is_invariant(f: ClassFunction) -> bool:
 def stabilizer_act(f: ClassFunction, s: StabilizerElement) -> ClassFunction:
     if (s.p, s.n, s.level) != (f.p, f.n, f.level):
         raise LevelMismatchError("stabilizer element level does not match")
-    return f._like(
-        {rep: val.act_matrix_right(s.entries) for rep, val in f.values.items()}
-    )
+    return f._like({rep: val.act_matrix_right(s.entries) for rep, val in f.values.items()})
 
 
 # ---------------------------------------------------------------------------

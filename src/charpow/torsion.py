@@ -191,9 +191,6 @@ class SumOfSubgroups:
     def total(self) -> int:
         return sum(h.order for h in self.summands)
 
-    def sort_key(self):
-        return tuple(h.sort_key() for h in self.summands)
-
 
 def max_subgroup_exponent(p: int, m: int) -> int:
     """Largest e with p^e <= m: the top subgroup order p^e a total of m allows.
@@ -242,8 +239,8 @@ def sum_index_tuples(p: int, n: int, m: int):
     Returns (subgroups, tuples).  subgroups lists every subgroup of order p^e
     for p^e <= m, ascending in (order, matrix); each tuple names one sum's
     summands by their positions there, ascending, and the tuples come in the
-    canonical order of the sums.  Positions order subgroups as sort_key does,
-    so a plain sort of the tuples orders the sums.
+    canonical order of the sums.  Positions order subgroups as
+    TorsionSubgroup.sort_key does, so a plain sort of the tuples orders the sums.
     """
     if m > LISTING_CAP:
         raise ListingTooLargeError(

@@ -8,11 +8,13 @@ __init__.py.  Names are matched without types, so a dead method can hide
 behind a live one of the same name; a method that is only passed around
 uncalled would need an entry below.
 
-A second scan finds every functools cache of the package that states no bound,
-and a child under python -O checks that the input checks raise there too.
+A second scan finds every functools cache of the package, fails on one that
+states no bound or that the README's cache table does not list, and a child
+under python -O checks that the input checks raise there too.
 """
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -92,8 +94,10 @@ def test_allowlist_names_only_unused_definitions():
     assert sorted(ALLOWED) == sorted(q for q in _unused() if q in ALLOWED)
 
 
-def _unbounded_caches():
-    """Sites in src/charpow of lru_cache(maxsize=None), lru_cache(None), a bare @lru_cache or @cache.
+def _cache_walk():
+    """(caches, unbounded): every function in src/charpow under a functools cache
+    decorator, as module.name, and the sites of lru_cache(maxsize=None),
+    lru_cache(None), a bare @lru_cache or @cache.
 
     @cache has no bound, and a bare @lru_cache hides its default of 128.
     """
@@ -101,22 +105,36 @@ def _unbounded_caches():
     def name(node):
         return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
-    found = []
+    caches, unbounded = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             decorators = getattr(node, "decorator_list", [])
+            if any(name(getattr(d, "func", d)) in ("lru_cache", "cache") for d in decorators):
+                caches.append(f"{path.stem}.{node.name}")
             if any(name(d) in ("lru_cache", "cache") for d in decorators):
-                found.append(f"{path.stem}.{node.name}")
+                unbounded.append(f"{path.stem}.{node.name}")
             if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
                 bound = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
                 if any(isinstance(b, ast.Constant) and b.value is None for b in bound):
-                    found.append(f"{path.stem}:{node.lineno}")
-    return found
+                    unbounded.append(f"{path.stem}:{node.lineno}")
+    return caches, unbounded
 
 
 def test_every_cache_has_a_bound():
     # an unbounded cache grows for the life of the process
-    assert _unbounded_caches() == []
+    assert _cache_walk()[1] == []
+
+
+def test_readme_cache_table_names_every_cache():
+    # the README's table has one row per cache, and names no cache that is gone
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| cache | holds | bound |") + 2  # past the header's rule
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    named = [row.split("|")[1].strip().strip("`") for row in rows]
+    caches = _cache_walk()[0]
+    assert caches
+    assert sorted(named) == sorted(caches)
 
 
 # Each input check that an assert would lose under python -O, and the error it raises.

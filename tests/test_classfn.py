@@ -134,7 +134,8 @@ def test_gl_size():
 @pytest.mark.parametrize(
     "p, level, n",
     [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1), (3, 2, 1),
-     (2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 3, 2)],
+     (2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 3, 2),
+     (2, 4, 1), (3, 3, 1), (5, 2, 1), (7, 1, 2), (3, 2, 2)],
 )
 def test_gl_generators_generate(p, level, n):
     # closure of the generators under multiplication, from the identity; at
@@ -155,6 +156,52 @@ def test_gl_generators_generate(p, level, n):
         frontier = [y for y in dict.fromkeys(frontier) if y not in closure]
         closure.update(frontier)
     assert closure == set(general_linear_residues(p, level, n))
+
+
+@pytest.mark.parametrize("p, level, n", [(2, 14, 1), (65521, 1, 1), (3, 9, 2)])
+def test_gl_generators_are_bounded_in_p_and_level(p, level, n):
+    # the units mod p^level need at most three generators, so no table is built here
+    assert len(_gl_generators(p, level, n)) <= n * (n - 1) + 3
+
+
+# The transvections 1 + E_ij at n = 2 and 3, flattened row-major
+_T2 = [(1, 1, 0, 1), (1, 0, 1, 1)]
+_T3 = [
+    (1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 1, 0, 1, 0, 0, 0, 1), (1, 0, 0, 1, 1, 0, 0, 0, 1),
+    (1, 0, 0, 0, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 0, 1, 0, 1), (1, 0, 0, 0, 1, 0, 0, 1, 1),
+]
+# The generating set as it was, with diag(u, 1, ..., 1) for every unit u != 1, at
+# each (p, level) where the bounded set is the same list; verify-invariance runs at
+# p = 2, level 2
+FORMER_GL_GENERATORS = {
+    (2, 1, 1): [],
+    (2, 1, 2): _T2,
+    (2, 1, 3): _T3,
+    (2, 2, 1): [(3,)],
+    (2, 2, 2): _T2 + [(3, 0, 0, 1)],
+    (2, 2, 3): _T3 + [(3, 0, 0, 0, 1, 0, 0, 0, 1)],
+    (3, 1, 1): [(2,)],
+    (3, 1, 2): _T2 + [(2, 0, 0, 1)],
+    (3, 1, 3): _T3 + [(2, 0, 0, 0, 1, 0, 0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("p, level, n", sorted(FORMER_GL_GENERATORS))
+def test_gl_generators_keep_the_former_small_lists(p, level, n):
+    flat = [tuple(x for row in g for x in row) for g in _gl_generators(p, level, n)]
+    assert flat == FORMER_GL_GENERATORS[p, level, n]
+
+
+def test_matrices_of_the_wrong_shape_are_refused():
+    # each of these was once accepted; the two actions returned the zero function
+    f = random_class_function(build_group("C2"), 2, 2, 2, seed=1)
+    assert len(f.values) == 4
+    with pytest.raises(ValueError, match="is not 2 x 2"):
+        act_by_residue(f, ((1, 1),))
+    with pytest.raises(ValueError, match="is not 2 x 2"):
+        aut_act(f, PAdicMatrix(2, ((1,),)))
+    with pytest.raises(ValueError, match="is not 2 x 2"):
+        StabilizerElement(2, 2, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_c0_ring_ops():
@@ -692,11 +739,11 @@ def _orbits_by_union_find(group, n, p, level):
 
 def _orbit_cases():
     """(spec, n, level) for S1, C2, C4 and S3: at n = 2 every level within TABLE_CAP,
-    at n = 1 the levels up to 8, past which GL_1 has 2^(level-1) - 1 generators."""
+    at n = 1 the levels up to 10, where 2 of the 511 units other than 1 generate GL_1."""
     out = []
     for spec, n in itertools.product(("S1", "C2", "C4", "S3"), (1, 2)):
         low = 2 if spec == "C4" else 1
-        out += [(spec, n, level) for level in range(low, (8 if n == 1 else 4) + 1)]
+        out += [(spec, n, level) for level in range(low, (10 if n == 1 else 4) + 1)]
     return out
 
 

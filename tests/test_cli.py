@@ -123,6 +123,34 @@ def test_verify_all_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
+# SHA-256 of `charpow verify --suite invariance` on each argument list, recorded
+# while GL_n(Z/p^N) was still generated by diag(u, 1, ..., 1) for every unit u
+INVARIANCE_DIGESTS = {
+    ("--p", "3", "--n", "2", "--level", "2"):
+        "38e5553a6234d607481eb6384ce9bfac632b089878de3df06a2fec39f305844d",
+    ("--n", "2", "--level", "3", "--max-m", "4"):
+        "38e5553a6234d607481eb6384ce9bfac632b089878de3df06a2fec39f305844d",
+    ("--n", "1", "--level", "8", "--max-m", "3"):
+        "6e826e4273867e22246c52278ebbc5c370e709802683c4da8bb67c114cd6263f",
+}
+
+
+@pytest.mark.parametrize("args", sorted(INVARIANCE_DIGESTS))
+def test_invariance_bytes_are_pinned(args, capsys):
+    code, out, _ = run(["verify", "--suite", "invariance", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANCE_DIGESTS[args]
+
+
+def test_invariance_at_level_12_passes(capsys):
+    # GL_1(Z/2^12) has 2047 units other than 1; two of them generate it
+    code, out, _ = run(
+        ["verify", "--suite", "invariance", "--n", "1", "--level", "12", "--max-m", "2"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "36/36 properties passed"
+
+
 # SHA-256 of each powerop output, recorded before power operations ran from
 # per-section plans
 POWEROP_DIGESTS = {

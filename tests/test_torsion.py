@@ -281,10 +281,15 @@ def test_kernel_and_image_reject_singular_matrices():
         image_subgroup(singular, TWO_TORSION)
 
 
+def _sum_key(s):
+    """Oracle of the canonical sum order: the summands' subgroup keys, summand by summand."""
+    return tuple(h.sort_key() for h in s.summands)
+
+
 def test_sums_canonical_order_and_uniqueness():
     sums = enumerate_sums(2, 2, 4)
     assert len(set(sums)) == len(sums)
-    assert list(sums) == sorted(sums, key=lambda s: s.sort_key())
+    assert list(sums) == sorted(sums, key=_sum_key)
     assert all(s.total == 4 for s in sums)
 
 
@@ -429,7 +434,7 @@ def test_sums_below_cap_are_listed():
 
 
 def _oracle_sums(p, n, m):
-    """Oracle: every sum built by the public constructor, then sorted by sort_key."""
+    """Oracle: every sum built by the public constructor, then sorted by _sum_key."""
     by_order = {p ** e: enumerate_subgroups(p, n, e)
                 for e in range(torsion.max_subgroup_exponent(p, m) + 1)}
     powers = list(by_order)
@@ -448,7 +453,7 @@ def _oracle_sums(p, n, m):
                 parts(remaining - c * q, q // p, chosen + [(q, c)])
 
     parts(m, m, [])
-    sums.sort(key=lambda s: s.sort_key())
+    sums.sort(key=_sum_key)
     return sums
 
 
