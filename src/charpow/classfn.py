@@ -71,8 +71,10 @@ def _table_size(p, n, level) -> int:
     return size
 
 
+@lru_cache(maxsize=CLASSFN_CACHE)
 def _translation_perm(p, level, n, a_flat, on_left):
-    """perm[t] = index of A . xi_t (on_left) or xi_t . A, mod p^level, as a read-only intp array.
+    """(perm, bijective): perm[t] = index of A . xi_t (on_left) or xi_t . A mod p^level,
+    a read-only intp array, and whether A is invertible mod p, so that perm permutes the table.
 
     Table index t is the base-q number of the row-major entries of xi_t, so
     all products are formed at once in int64; a product entry is below
@@ -86,22 +88,9 @@ def _translation_perm(p, level, n, a_flat, on_left):
     prod = (a @ xi if on_left else xi @ a) % q
     perm = prod.reshape(size, n * n).dot(weights).astype(np.intp)
     perm.flags.writeable = False
-    return perm
+    return perm, _is_invertible_mod_p(p, n, a_flat)
 
 
-@lru_cache(maxsize=CLASSFN_CACHE)
-def _left_translation_perm(p, level, n, a_flat):
-    """perm[t] = index of (A . xi_t) mod p^level."""
-    return _translation_perm(p, level, n, a_flat, on_left=True)
-
-
-@lru_cache(maxsize=CLASSFN_CACHE)
-def _right_translation_perm(p, level, n, s_flat):
-    """perm[t] = index of (xi_t . S) mod p^level."""
-    return _translation_perm(p, level, n, s_flat, on_left=False)
-
-
-@lru_cache(maxsize=CLASSFN_CACHE)
 def _is_invertible_mod_p(p, n, a_flat):
     """Whether A is invertible mod p, so that its translations permute M_n(Z/p^level)."""
     return mat_det([a_flat[i * n:(i + 1) * n] for i in range(n)]) % p != 0
@@ -284,16 +273,14 @@ class C0Element:
         return self.act_matrix_left(phi.matrix.entries)
 
     def act_matrix_left(self, entries) -> "C0Element":
-        a_flat = _flatten(entries)
-        return self._gather(_left_translation_perm(self.p, self.level, self.n, a_flat), a_flat)
+        return self._gather(_flatten(entries), True)
 
     def act_matrix_right(self, entries) -> "C0Element":
-        s_flat = _flatten(entries)
-        return self._gather(_right_translation_perm(self.p, self.level, self.n, s_flat), s_flat)
+        return self._gather(_flatten(entries), False)
 
-    def _gather(self, perm, a_flat):
-        """The table read through perm; a bijective perm keeps den and the gcd."""
-        bijective = _is_invertible_mod_p(self.p, self.n, a_flat)
+    def _gather(self, a_flat, on_left):
+        """The table read through a translation perm; a bijective one keeps den and the gcd."""
+        perm, bijective = _translation_perm(self.p, self.level, self.n, a_flat, on_left)
         return self._like(self._arr[perm], self.den, self._bits, reduced=bijective)
 
     def _check(self, other):
@@ -550,10 +537,13 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     orbit.  A generator g permutes the pairs, sending (c, t) to the pair
     that act_by_residue reads: (pos of _pulled_back's [alpha_c g^T], perm_g[t]).
 
-    Each pair starts labelled by its own number and takes the least label
-    across every generator edge, and then the label of its label, until
-    nothing changes.  A label is always a pair of the same orbit and never
-    above the pair, so at the fixed point each orbit carries its least pair.
+    The labels are a forest of pointers to lesser pairs of the same orbit,
+    hooked and jumped as Shiloach and Vishkin do (J. Algorithms 3, 1982).
+    Every pair starts as a root of its own.  Each round hooks each root to
+    the least root across any generator edge from its tree, in both
+    directions, then jumps pointers until every tree is a star; it stops
+    when a round changes nothing.  A root is then the least pair of its
+    orbit, so each orbit carries its least pair.
     """
     pos = _class_positions(group, n, p)
     size = _table_size(p, n, level)
@@ -561,16 +551,15 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     for g in _gl_generators(p, level, n):
         start = np.array([pos[src] for src in _pulled_back(group, n, p, g)])[:, None] * size
         moves.append((start, _flatten(g)))
-    labels = np.arange(len(pos) * size)
-    while True:
-        before = labels
+    labels, roots = np.arange(len(pos) * size), None
+    while not np.array_equal(labels, roots):  # each round starts from stars
+        roots, labels = labels, labels.copy()
         for start, g in moves:  # one pair permutation at a time, from the bounded perm cache
-            edge = (start + _left_translation_perm(p, level, n, g)).ravel()
-            labels = np.minimum(labels, labels[edge])
-            labels[edge] = np.minimum(labels[edge], labels)
-        labels = labels[labels]
-        if np.array_equal(labels, before):
-            break
+            across = roots[(start + _translation_perm(p, level, n, g, True)[0]).ravel()]
+            np.minimum.at(labels, roots, across)  # hook
+            np.minimum.at(labels, across, roots)
+        while not np.array_equal(labels, jumped := labels[labels]):  # jump
+            labels = jumped
     _, labels, counts = np.unique(labels, return_inverse=True, return_counts=True)
     labels = labels.astype(np.intp)
     labels.flags.writeable = False

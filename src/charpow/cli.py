@@ -45,7 +45,7 @@ from .isogeny import canonical_section, random_section
 from .lattice import is_prime
 from .rng import MASK64
 from .torsion import enumerate_subgroups, max_subgroup_exponent, sum_index_tuples
-from .verify import VerifyConfig, run_suites
+from .verify import SUITES, VerifyConfig, run_suites
 
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_SPEC = 2
@@ -294,12 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run property suites")
     common(ver)
     ver.add_argument("--level", type=int, default=2, help="working level N")
-    ver.add_argument(
-        "--suite",
-        default="all",
-        choices=("all", "bijections", "transfers", "powerops", "invariance",
-                 "stabilizer", "fgl"),
-    )
+    ver.add_argument("--suite", default="all", choices=("all", *SUITES))
     ver.add_argument("--max-m", type=int, default=4, dest="max_m")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--timings", action="store_true",

@@ -768,11 +768,14 @@ def product_components(group: FiniteGroup):
 
 
 def split_product_class(alpha: TupleClass):
-    """Pair of component classes of a tuple class in a binary product group."""
+    """Pair of component classes of a tuple class in a binary product group.
+
+    Index a |K| + b orders pairs (a, b) lexicographically and conjugation acts
+    on each factor alone, so both halves of a canonical rep are canonical."""
     g, k = product_components(alpha.group)
     left = tuple(i // k.order for i in alpha.rep)
     right = tuple(i % k.order for i in alpha.rep)
-    return TupleClass(g, left, alpha.p), TupleClass(k, right, alpha.p)
+    return TupleClass._canonical(g, left, alpha.p), TupleClass._canonical(k, right, alpha.p)
 
 
 # ---------------------------------------------------------------------------

@@ -109,14 +109,22 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to all _BASES
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Whether p is prime, by Miller-Rabin on the first 13 primes as bases, which is exact
+    below PRIME_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)); ValueError from it up."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is at least {PRIME_BOUND}; primality is decided below it")
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in _BASES:  # p prime: a^d = 1, or a^(d 2^i) = -1 for some i < s
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and p - 1 not in (pow(x, 1 << i, p) for i in range(s)):
             return False
-        d += 1
     return True
 
 

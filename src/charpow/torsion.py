@@ -41,6 +41,7 @@ from .lattice import (
 )
 
 LISTING_CAP = 100_000  # most subgroups, sums, or summands of one sum a listing holds
+ORDER_DIGITS = 4300  # most decimal digits of a subgroup order, Python's default for int to str
 SUBGROUP_CACHE = 4096  # interned subgroups, and annihilator lattices, kept at most
 LISTING_CACHE = 32  # subgroup listings kept at most
 _SORT_KEY = attrgetter("order", "matrix")  # the canonical order of subgroups
@@ -159,6 +160,11 @@ def _subgroup_count(p: int, n: int, k: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if n * n > LISTING_CAP:
+        raise ListingTooLargeError(f"n = {n}: a subgroup matrix has {n * n} > LISTING_CAP entries")
+    # p >= 2^(bit_length - 1) and 2^4 > 10: the first test refuses early, so p ** k stays small
+    if k * (p.bit_length() - 1) >= 4 * ORDER_DIGITS or p ** k >= 10 ** ORDER_DIGITS:
+        raise ListingTooLargeError(f"k = {k}: the order {p}^{k} has over {ORDER_DIGITS} digits")
     count = 0
     for exps in _compositions(k, n):
         count += math.prod(p ** (e * j) for j, e in enumerate(exps))
@@ -168,12 +174,10 @@ def _subgroup_count(p: int, n: int, k: int) -> int:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """total as parts ordered summands >= 0, ascending: parts - 1 bars among the stars."""
+    places = total + parts - 1
+    for bars in itertools.combinations(range(places), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from charpow.classfn import (
     average,
     _gl_generators,
     _is_invertible_mod_p,
-    _left_translation_perm,
-    _right_translation_perm,
     _table_size,
     _translation_perm,
     c0_constant,
@@ -343,8 +341,8 @@ def test_translation_perms_match_matrix_products(a):
 
     mats, _ = matrix_space(2, 2, 2)
     flat = tuple(x for row in a for x in row)
-    left = _left_translation_perm(2, 2, 2, flat)
-    right = _right_translation_perm(2, 2, 2, flat)
+    left, _ = _translation_perm(2, 2, 2, flat, True)
+    right, _ = _translation_perm(2, 2, 2, flat, False)
     for t, m in enumerate(mats):
         xi = (m[:2], m[2:])
         assert mats[left[t]] == times(a, xi)
@@ -570,21 +568,21 @@ def test_translation_is_bijective_exactly_when_invertible_mod_p(p, n, level):
     rng = SplitMix64(31 * p + n + level)
     for _ in range(40):
         flat = tuple(rng.below(p ** level) for _ in range(n * n))
-        for perm in (_left_translation_perm(p, level, n, flat),
-                     _right_translation_perm(p, level, n, flat)):
+        for on_left in (True, False):
+            perm, flag = _translation_perm(p, level, n, flat, on_left)
             assert not perm.flags.writeable
             bijective = len(set(perm.tolist())) == size
-            assert _is_invertible_mod_p(p, n, flat) == bijective
+            assert flag == _is_invertible_mod_p(p, n, flat) == bijective
 
 
 def test_translation_perm_cache_stays_within_its_bound():
     # each seeded section brings isogenies of its own, so an unbounded cache
     # kept every perm of the 150 sections, 585 of them, for the process's life
     f = random_class_function(build_group("C2"), 2, 2, 3, seed=1)
-    misses = _left_translation_perm.cache_info().misses
+    misses = _translation_perm.cache_info().misses
     for seed in range(150):
         power_op(f, 2, random_section(2, 2, 1, seed))
-    info = _left_translation_perm.cache_info()
+    info = _translation_perm.cache_info()
     assert info.misses - misses > CLASSFN_CACHE
     assert info.maxsize == CLASSFN_CACHE and info.currsize <= CLASSFN_CACHE
 
@@ -607,7 +605,7 @@ def test_translation_perms_match_loop(p, n, level):
     flats = [flat, tuple(x + q * rng.below(5) - 2 * q for x in flat)]  # and an unreduced lift
     for a_flat in flats:
         for on_left in (True, False):
-            perm = _translation_perm(p, level, n, a_flat, on_left)
+            perm, _ = _translation_perm(p, level, n, a_flat, on_left)
             assert tuple(perm.tolist()) == _loop_translation_perm(p, level, n, a_flat, on_left)
 
 
@@ -723,7 +721,8 @@ def _orbits_by_union_find(group, n, p, level):
         return x
 
     for g in _gl_generators(p, level, n):
-        perm = _left_translation_perm(p, level, n, tuple(x for row in g for x in row)).tolist()
+        perm, _ = _translation_perm(p, level, n, tuple(x for row in g for x in row), True)
+        perm = perm.tolist()
         tr = mat_transpose(g)
         for c, cls in enumerate(classes):
             start, image = c * size, pos[precompose(cls, tr).rep] * size
@@ -738,24 +737,30 @@ def _orbits_by_union_find(group, n, p, level):
 
 
 def _orbit_cases():
-    """(spec, n, level) for S1, C2, C4 and S3: at n = 2 every level within TABLE_CAP,
-    at n = 1 the levels up to 10, where 2 of the 511 units other than 1 generate GL_1."""
+    """(spec, p, n, level) for S1, C2, C4 and S3 at p = 2: at n = 2 every level
+    within TABLE_CAP, at n = 1 the levels up to 10, where 2 of the 511 units
+    other than 1 generate GL_1.  Then odd primes: the units mod 65521, one
+    cycle of 65520 under the primitive root, and C3 at p = 3."""
     out = []
     for spec, n in itertools.product(("S1", "C2", "C4", "S3"), (1, 2)):
         low = 2 if spec == "C4" else 1
-        out += [(spec, n, level) for level in range(low, (10 if n == 1 else 4) + 1)]
-    return out
+        out += [
+            pytest.param(spec, 2, n, level, id=f"{spec}-{n}-{level}")
+            for level in range(low, (10 if n == 1 else 4) + 1)
+        ]
+    odd = [("S1", 65521, 1, 1), ("C3", 3, 2, 1), ("C3", 3, 2, 2), ("S3", 3, 1, 3)]
+    return out + [pytest.param(*case, id="{}-p{}-{}-{}".format(*case)) for case in odd]
 
 
-@pytest.mark.parametrize("spec, n, level", _orbit_cases())
-def test_orbits_match_union_find(spec, n, level, monkeypatch):
+@pytest.mark.parametrize("spec, p, n, level", _orbit_cases())
+def test_orbits_match_union_find(spec, p, n, level, monkeypatch):
     group = build_group(spec)
-    labels, counts = classfn_module._orbits(group, n, P, level)
-    oracle_labels, oracle_counts = _orbits_by_union_find(group, n, P, level)
+    labels, counts = classfn_module._orbits(group, n, p, level)
+    oracle_labels, oracle_counts = _orbits_by_union_find(group, n, p, level)
     # orbits numbered by their least pair on both sides: the same partition
     assert labels.tolist() == oracle_labels.tolist()
     assert counts == oracle_counts
-    f = random_class_function(group, P, n, level, seed=level)
+    f = random_class_function(group, p, n, level, seed=level)
     fav = average(f)
     monkeypatch.setattr(classfn_module, "_orbits", lambda *key: (oracle_labels, oracle_counts))
     assert average(f) == fav

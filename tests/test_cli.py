@@ -23,6 +23,7 @@ from charpow.classfn import (
 from charpow.groups import build_group
 from charpow.isogeny import random_section
 from charpow.torsion import enumerate_sums
+from charpow.verify import SUITES
 
 
 def _csv_text(header_record, rows) -> str:
@@ -271,6 +272,67 @@ def test_table_above_cap_exit_3(capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "134217728 entries" in err and "65536" in err
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        # (10^9 + 7)(10^9 + 9): trial division would take about 10^9 steps
+        ("1000000016000000063", "p = 1000000016000000063 is not prime"),
+        ("3317044064679887385961983",
+         "p = 3317044064679887385961983 is at least 3317044064679887385961981"),
+    ],
+)
+def test_large_p_is_decided_at_once(p, message, capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        ["enumerate", "--kind", "subgroups", "--p", p, "--n", "1", "--k", "1"], capsys
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+def test_large_prime_lists_its_subgroup(capsys):
+    p = 2 ** 61 - 1
+    code, out, _ = run(["enumerate", "--kind", "subgroups", "--p", str(p), "--n", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["items"] == [{"matrix": [[p]], "order": p}]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["enumerate", "--kind", "subgroups", "--n", "5000", "--k", "0"], "n = 5000"),
+        (["enumerate", "--kind", "sums", "--n", "5000", "--m", "1"], "n = 5000"),
+        (["powerop", "--m", "1", "--n", "5000"], "n = 5000"),
+        (["verify", "--suite", "invariance", "--n", "5000"], "n = 5000"),
+        (["enumerate", "--kind", "subgroups", "--n", "1", "--k", "20000"], "k = 20000"),
+        (["enumerate", "--kind", "subgroups", "--n", "1", "--k", "3000000"], "k = 3000000"),
+    ],
+)
+def test_listing_parameters_past_their_bounds_exit_3(argv, name, capsys):
+    # these ended in a RecursionError (exit 1), in the int-digits error or in a hang
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {name}: ")
+
+
+def test_subgroup_order_of_most_digits_is_listed(capsys):
+    # 2^14284 has 4300 digits, 2^14285 has 4301
+    listing = ["enumerate", "--kind", "subgroups", "--n", "1", "--k"]
+    code, out, _ = run([*listing, "14284"], capsys)
+    assert code == 0 and len(str(json.loads(out)["items"][0]["order"])) == 4300
+    code, _, err = run([*listing, "14285"], capsys)
+    assert code == 3 and err == "error: k = 14285: the order 2^14285 has over 4300 digits\n"
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_parses(suite):
+    args = cli._build_parser().parse_args(["verify", "--suite", suite])
+    assert args.suite == suite
 
 
 @pytest.mark.parametrize(

@@ -786,6 +786,17 @@ def test_product_maps_match_label_lookups():
         )
 
 
+@pytest.mark.parametrize("spec", ["S2xS2", "C2xC4", "S3xS2", "C3xS3", "C4xS3", "S2xS4", "S3xS3"])
+def test_split_product_class_halves_are_canonical(spec):
+    # the halves are built unchecked; the checked constructor canonicalizes them again
+    g = build_group(spec)
+    for p, n in itertools.product((2, 3), (1, 2, 3)):
+        for cls in enumerate_hom_classes(g, n, p):
+            a, b = split_product_class(cls)
+            assert (a, b) == (TupleClass(a.group, a.rep, p), TupleClass(b.group, b.rep, p))
+            assert (a.rep, b.rep) == tuple(canonical_tuple(h.group, h.rep) for h in (a, b))
+
+
 def test_delta_embed_identity():
     de = delta_embed(2, 2)
     src = de.source

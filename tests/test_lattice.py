@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from charpow.errors import LevelMismatchError, NotInLatticeError, SingularMatrixError
 from charpow.lattice import (
+    PRIME_BOUND,
     LatticeBasis,
     PAdicMatrix,
     _back_substitute,
     column_span_basis,
     hnf,
     int_valuation,
+    is_prime,
     mat_det,
     mat_mul,
     rational_span,
@@ -35,6 +37,39 @@ def square(n):
 
 def nonsingular(n):
     return square(n).filter(lambda m: mat_det(m) != 0)
+
+
+def test_is_prime_matches_sieve_below_10_5():
+    # oracle: the sieve of Eratosthenes, the trial division it replaced
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [p for p in range(-3, 10 ** 5) if is_prime(p)] == [p for p, q in enumerate(sieve) if q]
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (2 ** 61 - 1, True),
+        (10 ** 9 + 7, True),
+        ((10 ** 9 + 7) * (10 ** 9 + 9), False),
+        # the least strong pseudoprimes to the first 4, 8, 11 and 12 prime bases
+        (3215031751, False),
+        (341550071728321, False),
+        (3825123056546413051, False),
+        (318665857834031151167461, False),
+        (PRIME_BOUND - 2, False),  # 17 divides it
+    ],
+)
+def test_is_prime_on_large_inputs(p, expected):
+    assert is_prime(p) is expected
+
+
+def test_is_prime_refuses_p_at_its_bound():
+    # PRIME_BOUND is the least strong pseudoprime to all 13 bases
+    with pytest.raises(ValueError, match=f"^p = {PRIME_BOUND} is at least {PRIME_BOUND}; "):
+        is_prime(PRIME_BOUND)
 
 
 def test_hnf_identity():

@@ -145,6 +145,15 @@ def test_subgroup_counts_against_bruteforce(p, k, count):
     assert {subgroup_to_elements(h, p ** k) for h in subs} == oracle
 
 
+def test_compositions_match_product_filter():
+    # oracle: every tuple of parts entries in 0..total, kept when they add up to total
+    for total, parts in itertools.product(range(5), range(1, 5)):
+        oracle = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+        assert list(torsion._compositions(total, parts)) == oracle
+    # no recursion: one composition of 5000 zeros
+    assert list(torsion._compositions(0, 5000)) == [(0,) * 5000]
+
+
 @pytest.mark.parametrize("p", [4, 1])
 def test_subgroups_reject_non_prime_p(p):
     with pytest.raises(ValueError, match=f"p = {p} is not prime"):
