@@ -4,8 +4,9 @@ The coefficient ring is modeled at level N as the ring of rational-valued
 functions on all n x n matrices over Z/p^N.  An isogeny with matrix A acts
 on the right by (c . A)(xi) = c(A xi); a stabilizer element acts through
 the other side, (c . s)(xi) = c(xi s), so the two actions commute on the
-nose.  Class functions are sparse maps from canonical tuple-class
-representatives to such tables; a missing key is the zero element.
+nose.  A class function holds the tables of the tuple classes where it is
+nonzero as the rows of one integer matrix, so its operations run on whole
+matrices.
 
 The working level must satisfy p^N >= exponent of the p-part of every
 group acted on: tuple classes only see a matrix through its residue mod
@@ -19,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     TupleClass,
+    _CHECK_BLOCK,
     _prime_factors,
     build_group,
     canonical_tuple,
@@ -110,11 +113,20 @@ def _dtype(bits):
     return np.int64 if bits <= INT64_BITS else object
 
 
+def _narrow(bits):
+    """The narrowest tier of entries below 2**bits, with the margin of INT64_BITS: int8,
+    int16 or int32, then those of _dtype.  A class function's matrix is held in it."""
+    for width in (8, 16, 32):
+        if bits <= width - 2:
+            return np.dtype(f"int{width}")
+    return _dtype(bits)
+
+
 def _tier(arr, bits):
-    """arr, moved to Python ints if its entries may reach 2**bits beyond the int64 tier."""
-    if bits <= INT64_BITS or arr.dtype == object:
+    """arr, widened to _narrow(bits) if its own tier may not hold entries below 2**bits."""
+    if arr.dtype == object or bits <= 8 * arr.dtype.itemsize - 2:
         return arr
-    return arr.astype(object)
+    return arr.astype(_narrow(bits))
 
 
 def _from_python(num, den):
@@ -160,9 +172,10 @@ class C0Element:
     den > 0, normalized so that gcd(den, *num) == 1; equal tables thus have
     equal (num, den).  The numerators are one read-only numpy array in one
     of two tiers: int64 while a bit bound proves every entry below
-    2**INT64_BITS, Python ints (object dtype) otherwise.  Every operation
-    carries the bound forward and picks the tier from it; == and hash
-    never see the tier.
+    2**INT64_BITS, Python ints (object dtype) otherwise; a row handed out
+    by a ClassFunction keeps its matrix's narrower tier, and _tier widens
+    it before any arithmetic.  Every operation carries the bound forward
+    and picks the tier from it; == and hash never see the tier.
 
     C0Element(p, n, level, values) takes int or Fraction entries;
     C0Element(p, n, level, num, den) takes integer numerators over den.
@@ -312,15 +325,20 @@ def c0_delta(p, n, level, t: int) -> C0Element:
 
 
 def c0_random(p, n, level, rng: SplitMix64) -> C0Element:
-    """Entries (below(19) - 9) / (1 + below(4)) as integer numerators over 12, the lcm of 1..4.
+    """Entries (below(19) - 9) / (1 + below(4)) as integer numerators over 12, the lcm of 1..4."""
+    return C0Element(p, n, level, _random_numerators(p, n, level, rng, 1)[0], 12, _bits=7)
 
-    Each entry draws its numerator, then its denominator, all 2 * size
-    draws at once; |numerator| <= 9 * 12 < 2**7.
+
+def _random_numerators(p, n, level, rng: SplitMix64, rows):
+    """rows seeded tables, one after the other, as int64 numerators over 12.
+
+    Each entry draws its numerator, then its denominator, all 2 * size *
+    rows draws at once; |numerator| <= 9 * 12 < 2**7.
     """
-    z = rng.next_u64_array(2 * _table_size(p, n, level))
-    nums = (z[0::2] % 19).astype(np.int64) - 9
-    nums *= np.array([12, 6, 4, 3])[z[1::2] % 4]  # 12 // (1 + below(4))
-    return C0Element(p, n, level, nums, 12, _bits=7)
+    z = rng.next_u64_array(2 * _table_size(p, n, level) * rows).reshape(rows, -1)
+    nums = (z[:, 0::2] % 19).astype(np.int64) - 9
+    nums *= np.array([12, 6, 4, 3])[z[:, 1::2] % 4]  # 12 // (1 + below(4))
+    return nums
 
 
 @dataclass(frozen=True)
@@ -355,59 +373,194 @@ def _class_positions(group: FiniteGroup, n: int, p: int):
     return {c.rep: i for i, c in enumerate(enumerate_hom_classes(group, n, p))}
 
 
+def _positions_of(group: FiniteGroup, n: int, p: int, reps):
+    """The class position of each canonical rep (a sequence of ints), as an intp array."""
+    pos = _class_positions(group, n, p)
+    return np.array([pos[tuple(rep)] for rep in reps], dtype=np.intp)
+
+
+def _scaled(num, bits, k):
+    """(num with row r times k[r], its bit bound), for positive integers k."""
+    kbits = int(k.max()).bit_length() if len(k) else 0
+    if kbits <= 1:  # every k[r] is 1
+        return num, bits
+    bits += kbits
+    return _tier(num, bits) * k.astype(_narrow(bits))[:, None], bits
+
+
+def _row_gcds(num, den):
+    """gcd(den[r], *num[r]) for each row, in blocks of about _CHECK_BLOCK entries;
+    a row over 1 is not read."""
+    g = np.ones(len(den), dtype=object)
+    need = np.flatnonzero(den != 1)
+    block = max(1, _CHECK_BLOCK // max(num.shape[1], 1))
+    for b in range(0, len(need), block):
+        rows = need[b:b + block]
+        g[rows] = np.gcd(np.gcd.reduce(num[rows], axis=1), den[rows])
+    return g
+
+
+def _weighted_sums(count, slot, num, den, bits, k):
+    """(num, den) of count rows, row s the sum of k[i] num[i] / den[i] over the i with
+    slot[i] = s, over the lcm of those den[i]; k holds positive Python ints."""
+    out_den = np.ones(count, dtype=object)
+    np.lcm.at(out_den, slot, den)
+    x, bits = _scaled(num, bits, k * (out_den[slot] // den))
+    out = np.zeros((count, num.shape[1]), dtype=_narrow(bits + len(slot).bit_length()))
+    np.add.at(out, slot, x)
+    return out, out_den
+
+
+def _products(out, mats, terms):
+    """out[r] = prod_j mats[j][terms[r, j]] for each row r of terms, in out's tier.
+
+    Formed one factor column at a time, in blocks of rows of about
+    _CHECK_BLOCK entries, so no (rows x terms x table) array is built.
+    """
+    block = max(1, _CHECK_BLOCK // out.shape[1])
+    for b in range(0, len(terms), block):
+        t = terms[b:b + block]
+        acc = out[b:b + block]
+        acc[...] = mats[0][t[:, 0]]
+        for j in range(1, t.shape[1]):
+            acc *= mats[j][t[:, j]]
+
+
+def _rows_by_rep(f):
+    """(rep, row) for each row of f, in sorted rep order."""
+    reps = list(_class_positions(f.group, f.n, f.p))
+    return sorted((reps[c], r) for r, c in enumerate(f._pos.tolist()))
+
+
 class ClassFunction:
-    """Sparse map from tuple classes of a group to coefficient tables."""
+    """Map from the tuple classes of a group to coefficient tables, held as one matrix.
 
-    __slots__ = ("group", "p", "n", "level", "values")
+    Row r is the table at class position pos[r] (the enumerate_hom_classes
+    order), as integer numerators num[r] over a positive denominator
+    den[r], with gcd(den[r], *num[r]) == 1: the (num, den) a C0Element
+    holds.  Only the classes where the function is nonzero have a row, in
+    position order, so equal functions have equal (pos, den, num).  The
+    matrix has one tier, _narrow of the bit length of its largest entry:
+    int8 to int64 with the margin of INT64_BITS, Python ints past it; den
+    is an object array of Python ints.  Every operation works on whole
+    matrices; values and value_at hand rows out as C0Elements.
+    """
 
-    def __init__(self, group: FiniteGroup, p: int, n: int, level: int, values):
+    __slots__ = ("group", "p", "n", "level", "_pos", "_num", "_den", "_bits", "_values")
+
+    def __init__(
+        self, group: FiniteGroup, p: int, n: int, level: int, values, *, _rows=None, _bits=None
+    ):
+        """values maps class reps to C0Elements at (p, n, level).  The private keywords
+        are for matrices made by the operations below: _rows = (pos, num, den) with pos
+        ascending and num in a tier that holds it, whose zero rows are dropped and whose
+        rows are normalized here; _bits marks them as nonzero and normalized already,
+        with every |entry| < 2**_bits."""
         self.group = group
         self.p = p
         self.n = n
         self.level = level
-        keys = _class_positions(group, n, p)
-        table = {}
+        pos, num, den = self._rows_of(values) if _rows is None else _rows
+        if _bits is None:
+            keep = num.any(axis=1)
+            if not keep.all():
+                pos, num, den = pos[keep], num[keep], den[keep]
+            g = _row_gcds(num, den)
+            if (g != 1).any():  # g divides every entry of its row, so it fits the tier
+                num = num if num.flags.writeable else num.copy()
+                np.floor_divide(num, g.astype(num.dtype)[:, None], out=num)
+                den = den // g
+            _bits = max(int(num.max()), -int(num.min())).bit_length() if num.size else 0
+            num = num.astype(_narrow(_bits), copy=False)
+        self._pos, self._num, self._den, self._bits = pos, num, den, _bits
+        for arr in (self._pos, self._num, self._den):
+            arr.flags.writeable = False
+        self._values = None
+
+    def _rows_of(self, values):
+        keys = _class_positions(self.group, self.n, self.p)
+        tables = {}
         for rep, val in values.items():
             rep = tuple(int(x) for x in rep)
             if rep not in keys:
                 raise ValueError(f"{rep} is not a canonical tuple-class key")
-            if (val.p, val.n, val.level) != (p, n, level):
+            if (val.p, val.n, val.level) != (self.p, self.n, self.level):
                 raise LevelMismatchError("value table level does not match")
-            if not val.is_zero():
-                table[rep] = val
-        self.values = dict(sorted(table.items()))
+            tables[keys[rep]] = val
+        pos = np.array(sorted(tables), dtype=np.intp)
+        vals = [tables[c] for c in pos.tolist()]
+        bits = max((v._bits for v in vals), default=0)
+        num = np.array([v._arr for v in vals], dtype=_narrow(bits))
+        size = _table_size(self.p, self.n, self.level)
+        return pos, num.reshape(len(vals), size), np.array([v.den for v in vals], dtype=object)
+
+    def _row(self, r) -> C0Element:
+        return C0Element(
+            self.p, self.n, self.level, self._num[r], self._den[r], _bits=self._bits, _reduced=True
+        )
+
+    @property
+    def values(self):
+        """The nonzero tables, a read-only map from class rep to C0Element in rep order."""
+        if self._values is None:
+            self._values = {rep: self._row(r) for rep, r in _rows_by_rep(self)}
+        return MappingProxyType(self._values)
 
     def value_at(self, key) -> C0Element:
+        """The table at a class, given as a TupleClass of this group or a tuple of
+        element indices; a key that names no class of the group at n raises ValueError."""
+        keys = _class_positions(self.group, self.n, self.p)
         if isinstance(key, TupleClass):
-            rep = key.rep  # already canonical
+            ours = key.group is self.group and key.p == self.p
+            rep = key.rep if ours else None
         else:
-            rep = canonical_tuple(self.group, tuple(key))
-        return self.values.get(rep) or c0_constant(self.p, self.n, self.level, 0)
+            rep = tuple(key)
+            if len(rep) == self.n and all(
+                isinstance(x, (int, np.integer)) and 0 <= x < self.group.order for x in rep
+            ):
+                rep = canonical_tuple(self.group, rep)
+        if rep not in keys:
+            raise ValueError(f"{key!r} is not a tuple class of {self.group.name} at n = {self.n}")
+        r = int(self._rows_at(np.array([keys[rep]], dtype=np.intp))[0])
+        return self._row(r) if r >= 0 else c0_constant(self.p, self.n, self.level, 0)
 
-    def _like(self, values) -> "ClassFunction":
-        return ClassFunction(self.group, self.p, self.n, self.level, values)
+    def _rows_at(self, positions):
+        """The row at each of an intp array of class positions, -1 where the function is zero."""
+        count = len(_class_positions(self.group, self.n, self.p))
+        if len(self._pos) == count:  # every class has a row, at its own position
+            return positions
+        rows = np.full(count, -1, dtype=np.intp)
+        rows[self._pos] = np.arange(len(self._pos))
+        return rows[positions]
+
+    def _like(self, pos, num, den, bits=None) -> "ClassFunction":
+        return ClassFunction(
+            self.group, self.p, self.n, self.level, None, _rows=(pos, num, den), _bits=bits
+        )
 
     def add(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
-        out = dict(self.values)
-        for rep, val in other.values.items():
-            out[rep] = out[rep].add(val) if rep in out else val
-        return self._like(out)
+        pos, slot = np.unique(np.concatenate((self._pos, other._pos)), return_inverse=True)
+        num = np.concatenate((self._num, other._num))
+        den = np.concatenate((self._den, other._den))
+        bits, ones = max(self._bits, other._bits), np.ones(len(slot), dtype=object)
+        return self._like(pos, *_weighted_sums(len(pos), slot, num, den, bits, ones))
 
     def mul(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
-        return self._like(
-            {
-                rep: val.mul(other.values[rep])
-                for rep, val in self.values.items()
-                if rep in other.values
-            }
-        )
+        pos, a, b = np.intersect1d(self._pos, other._pos, assume_unique=True, return_indices=True)
+        return self._like(pos, *_pair_products(self, a, other, b))
 
     def scale(self, c) -> "ClassFunction":
-        return self._like({rep: val.scale(c) for rep, val in self.values.items()})
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"scale factor must be int or Fraction, got {type(c).__name__}")
+        bits = self._bits + abs(c.numerator).bit_length()
+        num = _tier(self._num, bits) * c.numerator
+        return self._like(self._pos, num, self._den * c.denominator)
 
     def pow(self, k: int) -> "ClassFunction":
+        if k < 0:
+            raise ValueError(f"k = {k} must be at least 0")
         out = constant_one(self.group, self.p, self.n, self.level)
         for _ in range(k):
             out = out.mul(self)
@@ -424,13 +577,15 @@ class ClassFunction:
             isinstance(other, ClassFunction)
             and self.group is other.group
             and (self.p, self.n, self.level) == (other.p, other.n, other.level)
-            and self.values == other.values
+            and np.array_equal(self._pos, other._pos)
+            and np.array_equal(self._den, other._den)
+            and np.array_equal(self._num, other._num)
         )
 
     def __repr__(self):
         return (
             f"ClassFunction({self.group.name}, p={self.p}, n={self.n}, "
-            f"level={self.level}, support={len(self.values)})"
+            f"level={self.level}, support={len(self._pos)})"
         )
 
 
@@ -439,7 +594,11 @@ def constant_one(group, p, n, level) -> ClassFunction:
 
 
 def constant_value(group, p, n, level, c0: C0Element) -> ClassFunction:
-    return ClassFunction(group, p, n, level, dict.fromkeys(_class_positions(group, n, p), c0))
+    count = len(_class_positions(group, n, p))
+    return ClassFunction(group, p, n, level, None, _rows=(
+        np.arange(count), np.broadcast_to(c0._arr, (count, c0._arr.size)),
+        np.full(count, c0.den, dtype=object),
+    ))
 
 
 def indicator(cls: TupleClass, level: int, c0: C0Element = None) -> ClassFunction:
@@ -453,19 +612,26 @@ def indicator(cls: TupleClass, level: int, c0: C0Element = None) -> ClassFunctio
 
 
 def random_class_function(group, p, n, level, seed: int) -> ClassFunction:
-    rng = SplitMix64(seed)
-    return ClassFunction(
-        group, p, n, level,
-        {rep: c0_random(p, n, level, rng) for rep in _class_positions(group, n, p)},
-    )
+    """One c0_random table per class, in class order, from one SplitMix64 stream."""
+    count = len(_class_positions(group, n, p))
+    return ClassFunction(group, p, n, level, None, _rows=(
+        np.arange(count), _random_numerators(p, n, level, SplitMix64(seed), count),
+        np.full(count, 12, dtype=object),
+    ))
 
 
 # ---------------------------------------------------------------------------
 # automorphism action, averaging, invariance
 
 
+@lru_cache(maxsize=CLASSFN_CACHE)
+def _level_needed(group: FiniteGroup, p: int) -> int:
+    """The least working level for the group at p: v_p of the exponent of its p-part."""
+    return group.exponent_valuation(p)
+
+
 def _require_level_covers(group: FiniteGroup, p: int, level: int):
-    needed = group.exponent_valuation(p)
+    needed = _level_needed(group, p)
     if level < needed:
         raise LevelMismatchError(
             f"group {group.name} requires level N >= {needed} at p = {p}; "
@@ -473,25 +639,28 @@ def _require_level_covers(group: FiniteGroup, p: int, level: int):
         )
 
 
-def _pulled_back(group: FiniteGroup, n: int, p: int, g) -> list:
-    """For each class [alpha] in class order, the canonical rep of [alpha g^T]."""
-    reps = list(_class_positions(group, n, p))
-    return list(map(tuple, canonical_tuples(group, reps, mat_transpose(g)).tolist()))
+def _pulled_back(group: FiniteGroup, n: int, p: int, g):
+    """For each class [alpha] in class order, the position of [alpha g^T], as an intp array."""
+    reps = canonical_tuples(group, list(_class_positions(group, n, p)), mat_transpose(g))
+    return _positions_of(group, n, p, reps.tolist())
 
 
 def act_by_residue(f: ClassFunction, gbar) -> ClassFunction:
     """Right action of an invertible matrix mod p^level on a class function.
 
     (f . g)([alpha]) = f([alpha g^T]) . g; keys are pulled back through the
-    transpose, values move by left translation.
+    transpose, values move by left translation.  g permutes the classes, so
+    this is one row permutation and one column gather.
     """
     _require_level_covers(f.group, f.p, f.level)
     g = StabilizerElement(f.p, f.n, f.level, gbar).entries
-    out = {}
-    for rep, src in zip(_class_positions(f.group, f.n, f.p), _pulled_back(f.group, f.n, f.p, g)):
-        if src in f.values:
-            out[rep] = f.values[src].act_matrix_left(g)
-    return f._like(out)
+    src = _pulled_back(f.group, f.n, f.p, g)
+    dest = np.empty_like(src)
+    dest[src] = np.arange(len(src))  # f's row at position src[c] moves to c
+    at = dest[f._pos]
+    order = np.argsort(at)
+    perm = _translation_perm(f.p, f.level, f.n, _flatten(g), True)[0]
+    return f._like(at[order], f._num.take(perm, axis=1)[order], f._den[order], f._bits)
 
 
 def aut_act(f: ClassFunction, gamma: PAdicMatrix) -> ClassFunction:
@@ -535,7 +704,7 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     A pair is numbered c * size + t.  Returns the orbit label of each pair,
     orbits numbered from 0, as a read-only intp array, and the size of each
     orbit.  A generator g permutes the pairs, sending (c, t) to the pair
-    that act_by_residue reads: (pos of _pulled_back's [alpha_c g^T], perm_g[t]).
+    that act_by_residue reads: (_pulled_back's position of [alpha_c g^T], perm_g[t]).
 
     The labels are a forest of pointers to lesser pairs of the same orbit,
     hooked and jumped as Shiloach and Vishkin do (J. Algorithms 3, 1982).
@@ -545,13 +714,11 @@ def _orbits(group: FiniteGroup, n: int, p: int, level: int):
     when a round changes nothing.  A root is then the least pair of its
     orbit, so each orbit carries its least pair.
     """
-    pos = _class_positions(group, n, p)
     size = _table_size(p, n, level)
     moves = []  # per generator: the first pair of each class's image, and the matrix
     for g in _gl_generators(p, level, n):
-        start = np.array([pos[src] for src in _pulled_back(group, n, p, g)])[:, None] * size
-        moves.append((start, _flatten(g)))
-    labels, roots = np.arange(len(pos) * size), None
+        moves.append((_pulled_back(group, n, p, g)[:, None] * size, _flatten(g)))
+    labels, roots = np.arange(len(_class_positions(group, n, p)) * size), None
     while not np.array_equal(labels, roots):  # each round starts from stars
         roots, labels = labels, labels.copy()
         for start, g in moves:  # one pair permutation at a time, from the bounded perm cache
@@ -572,31 +739,24 @@ def average(f: ClassFunction) -> ClassFunction:
     Computed as a mean over orbits: the value at a pair (class, xi) is the
     mean of f over the GL-orbit of that pair, taken over every class,
     including those where f is zero.  This equals (1/|GL|) sum_g f . g,
-    since g -> x . g covers the orbit of x |Stab(x)| times.
+    since g -> x . g covers the orbit of x |Stab(x)| times.  The orbit
+    sums are read straight off f's rows over one common denominator.
     """
     _require_level_covers(f.group, f.p, f.level)
     labels, counts = _orbits(f.group, f.n, f.p, f.level)
-    size = _table_size(f.p, f.n, f.level)
-    pos = _class_positions(f.group, f.n, f.p)
-    den = math.lcm(*(val.den for val in f.values.values()))
-    over = [(pos[rep] * size, *val._over(den)) for rep, val in f.values.items()]
+    grid = labels.reshape(-1, f._num.shape[1])  # the orbit of each (class, table index) pair
+    den = math.lcm(*f._den.tolist())
+    x, bits = _scaled(f._num, f._bits, den // f._den)
     # orbit k sums at most counts[k] numerators
-    bits = max((b for _, _, b in over), default=0) + max(counts).bit_length()
-    sums = np.zeros(len(counts), dtype=_dtype(bits))
-    for start, x, _ in over:
-        np.add.at(sums, labels[start:start + size], x)
+    bits += max(counts).bit_length()
+    sums = np.zeros(len(counts), dtype=_narrow(bits))
+    np.add.at(sums, grid[f._pos].ravel(), x.ravel())
     # the mean over orbit k is sums[k] / (counts[k] * den) = means[k] / (whole * den)
     whole = math.lcm(*counts)
     bits += whole.bit_length()
-    means = _tier(sums, bits) * np.array([whole // c for c in counts], dtype=_dtype(bits))
-    bits = max(int(means.max()), -int(means.min())).bit_length()  # exact, and often far lower
-    means = means.astype(_dtype(bits), copy=False)
-    return f._like({
-        rep: C0Element(
-            f.p, f.n, f.level, means[labels[c * size:(c + 1) * size]], whole * den, _bits=bits
-        )
-        for rep, c in pos.items()
-    })
+    means = _tier(sums, bits) * np.array([whole // c for c in counts], dtype=_narrow(bits))
+    count = len(grid)
+    return f._like(np.arange(count), means[grid], np.full(count, whole * den, dtype=object))
 
 
 def is_invariant(f: ClassFunction) -> bool:
@@ -609,9 +769,11 @@ def is_invariant(f: ClassFunction) -> bool:
 
 
 def stabilizer_act(f: ClassFunction, s: StabilizerElement) -> ClassFunction:
+    """(f . s)(xi) = f(xi s) at every class: one column gather."""
     if (s.p, s.n, s.level) != (f.p, f.n, f.level):
         raise LevelMismatchError("stabilizer element level does not match")
-    return f._like({rep: val.act_matrix_right(s.entries) for rep, val in f.values.items()})
+    perm = _translation_perm(f.p, f.level, f.n, _flatten(s.entries), False)[0]
+    return f._like(f._pos, f._num.take(perm, axis=1), f._den, f._bits)
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +787,19 @@ def restrict(f: ClassFunction, hom: Homomorphism) -> ClassFunction:
     reps = list(_class_positions(hom.source, f.n, f.p))
     # the image of a commuting p-power tuple under a homomorphism is one
     srcs = canonical_tuples(f.group, [[hom(i) for i in rep] for rep in reps]).tolist()
-    out = {}
-    for rep, src in zip(reps, map(tuple, srcs)):
-        if src in f.values:
-            out[rep] = f.values[src]
-    return ClassFunction(hom.source, f.p, f.n, f.level, out)
+    rows = f._rows_at(_positions_of(f.group, f.n, f.p, srcs))
+    at = np.flatnonzero(rows >= 0)
+    return ClassFunction(
+        hom.source, f.p, f.n, f.level, None,
+        _rows=(at, f._num[rows[at]], f._den[rows[at]]), _bits=f._bits,
+    )
+
+
+def _pair_products(f: ClassFunction, a, g: ClassFunction, b):
+    """(num, den) of the rows f[a[r]] * g[b[r]]."""
+    num = np.empty((len(a), f._num.shape[1]), dtype=_narrow(f._bits + g._bits))
+    _products(num, (f._num, g._num), np.column_stack((a, b)))
+    return num, f._den[a] * g._den[b]
 
 
 def external_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
@@ -637,12 +807,15 @@ def external_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     if (f.p, f.n, f.level) != (g.p, g.n, g.level):
         raise LevelMismatchError("external product needs matching levels")
     target = product_group(f.group, g.group)
-    out = {}
-    for cls in enumerate_hom_classes(target, f.n, f.p):
-        a, b = split_product_class(cls)
-        if a.rep in f.values and b.rep in g.values:
-            out[cls.rep] = f.values[a.rep].mul(g.values[b.rep])
-    return ClassFunction(target, f.p, f.n, f.level, out)
+    halves = zip(*map(split_product_class, enumerate_hom_classes(target, f.n, f.p)))
+    a, b = (
+        h._rows_at(_positions_of(h.group, h.n, h.p, [x.rep for x in xs]))
+        for h, xs in zip((f, g), halves)
+    )
+    at = np.flatnonzero((a >= 0) & (b >= 0))
+    return ClassFunction(
+        target, f.p, f.n, f.level, None, _rows=(at, *_pair_products(f, a[at], g, b[at]))
+    )
 
 
 def transfer_counts(iota: Homomorphism, alpha: TupleClass):
@@ -666,17 +839,24 @@ def transfer_counts(iota: Homomorphism, alpha: TupleClass):
 
 
 def transfer(f: ClassFunction, iota: Homomorphism) -> ClassFunction:
-    """Transfer along an injective homomorphism, by summing over fixed cosets."""
+    """Transfer along an injective homomorphism, by summing over fixed cosets:
+    each target row is a count-weighted sum of f's rows."""
     if iota.source is not f.group:
         raise ValueError("class function does not live on the transfer source")
     big = iota.target
-    out = {}
-    for cls in enumerate_hom_classes(big, f.n, f.p):
-        counts = transfer_counts(iota, cls).items()
-        terms = [f.values[src].scale(k) for src, k in counts if src in f.values]
-        if terms:
-            out[cls.rep] = reduce(C0Element.add, terms)
-    return ClassFunction(big, f.p, f.n, f.level, out)
+    pos = _class_positions(f.group, f.n, f.p)
+    terms = np.array([  # (target class, source class, count) of each term
+        (t, pos[src], k)
+        for t, cls in enumerate(enumerate_hom_classes(big, f.n, f.p))
+        for src, k in transfer_counts(iota, cls).items()
+    ], dtype=np.intp).reshape(-1, 3)
+    rows = f._rows_at(terms[:, 1])
+    terms, rows = terms[rows >= 0], rows[rows >= 0]
+    at, slot = np.unique(terms[:, 0], return_inverse=True)
+    sums = _weighted_sums(
+        len(at), slot, f._num[rows], f._den[rows], f._bits, terms[:, 2].astype(object)
+    )
+    return ClassFunction(big, f.p, f.n, f.level, None, _rows=(at, *sums))
 
 
 # ---------------------------------------------------------------------------
@@ -710,36 +890,55 @@ def _summand_structure(target: FiniteGroup, n: int, p: int, summands):
 
 
 def _section_plan(section: Section, target: FiniteGroup, summands, dual):
-    """(factors, classes): each distinct summand (H, alpha) of the target's classes
-    once, as (source key, phi_H), and (rep, (factor index, ...)) for each class.
+    """(src, phis, phi_of, terms): each distinct summand (H, alpha) of the
+    target's classes once, as a factor f([alpha . dual(phi_H)]) . phi_H,
+    and the factors of each target class.
 
-    The source key is the rep of [alpha . dual(phi_H)], and all of them come
-    from one canonical_tuples call.  A plan depends on the section's
-    assignment but not on f or the level, so it is built once and kept on
-    the section itself; Section == ignores the assignment, so sections are
-    never matched by equality.
+    src[i] is the position of factor i's class [alpha . dual(phi_H)] among
+    the source group's classes, all from one canonical_tuples call; phis
+    are the distinct matrices of the phi_H, flattened, and phi_of[i] is
+    factor i's.  Row c of terms lists the factors of target class c, padded
+    to one width, at least 1, with len(src), which stands for the empty
+    factor 1.  A plan depends on the section's assignment but not on f or
+    the level, so it is built once and kept on the section itself; Section
+    == ignores the assignment, so sections are never matched by equality.
     """
     key = (target, summands, dual)
     if key not in section._plans:
         index = {}
-        classes = tuple(
-            (rep, tuple(index.setdefault(term, len(index)) for term in terms))
-            for rep, terms in _summand_structure(target, section.n, section.p, summands)
-        )
-        phis = [section.isogeny_for(h) for h, _ in index]
+        terms = [
+            [index.setdefault(term, len(index)) for term in summands_of]
+            for _, summands_of in _summand_structure(target, section.n, section.p, summands)
+        ]
+        hs = {}  # the distinct H, numbered; phi_H has kernel H, so their phis differ
+        phi_of = [hs.setdefault(h, len(hs)) for h, _ in index]
+        phis = [section.isogeny_for(h) for h in hs]
+        duals = [dual(phi) for phi in phis]
         group = next((alpha.group for _, alpha in index), None)  # the source of f
         srcs = canonical_tuples(
-            group, [alpha.rep for _, alpha in index], [dual(phi) for phi in phis]
+            group, [alpha.rep for _, alpha in index], [duals[j] for j in phi_of]
         ).tolist()
-        section._plans[key] = (tuple(zip(map(tuple, srcs), phis)), classes)
+        width = max(1, *map(len, terms))
+        section._plans[key] = (
+            _positions_of(group, section.n, section.p, srcs) if index else np.empty(0, np.intp),
+            tuple(_flatten(phi.matrix.entries) for phi in phis),
+            np.array(phi_of, dtype=np.intp),
+            np.array([t + [len(index)] * (width - len(t)) for t in terms], dtype=np.intp),
+        )
     return section._plans[key]
 
 
 def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
     """At each class of the target: prod over (H, alpha) of f([alpha . dual(phi_H)]) . phi_H.
 
-    Checks the section bound before the target group is built, then the level.
+    Checks m, then the section bound before the target group is built, then
+    the level.  One take moves every row of f through every distinct phi_H,
+    so each factor present in f is gathered once; the products then run
+    over all classes at once, one factor column at a time, and are
+    normalized once.
     """
+    if m < 0:
+        raise ValueError(f"m = {m} must be at least 0")
     if (section.p, section.n) != (f.p, f.n):
         raise LevelMismatchError("section parameters do not match")
     need = max_subgroup_exponent(f.p, m)
@@ -749,23 +948,24 @@ def _power_product(f, m, section, make_target, summands, dual) -> ClassFunction:
         )
     target = make_target(f.group, m)
     _require_level_covers(target, f.p, f.level)
-    factors, classes = _section_plan(section, target, summands, dual)
-    moved = [None] * len(factors)
-
-    def term(i):
-        """f([alpha . dual(phi_H)]) . phi_H of factor i, gathered once per call."""
-        if moved[i] is None:
-            src, phi = factors[i]
-            moved[i] = f.values[src].act_isogeny(phi)
-        return moved[i]
-
-    out = {}
-    for rep, terms in classes:
-        if not terms:  # the empty product, at m = 0
-            out[rep] = c0_constant(f.p, f.n, f.level, 1)
-        elif all(factors[i][0] in f.values for i in terms):  # else the product vanishes
-            out[rep] = reduce(C0Element.mul, map(term, terms))
-    return ClassFunction(target, f.p, f.n, f.level, out)
+    src, phis, phi_of, terms = _section_plan(section, target, summands, dual)
+    rows, size = f._rows_at(src), f._num.shape[1]
+    # row r * len(phis) + j of moved is f's row r . phi_j, and its last row is the empty factor
+    moved = np.empty((len(f._num) * len(phis) + 1, size), dtype=f._num.dtype)
+    perms = [_translation_perm(f.p, f.level, f.n, flat, True)[0] for flat in phis]
+    np.take(f._num, np.array(perms, dtype=np.intp).reshape(-1, size), axis=1,
+            out=moved[:-1].reshape(len(f._num), len(phis), size))
+    moved[-1] = 1
+    # factor i is row factor[i] of moved; a class with a factor where f is zero is zero
+    factor = np.append(np.where(rows >= 0, rows * len(phis) + phi_of, -1), len(moved) - 1)
+    at = np.flatnonzero((factor[terms] >= 0).all(axis=1))
+    terms = terms[at]
+    num = np.empty((len(at), size), dtype=_narrow(max(terms.shape[1] * f._bits, 1)))
+    _products(num, (moved,) * terms.shape[1], factor[terms])
+    den = np.append(f._den, 1)[np.append(rows, -1)]  # 1 for the empty factor
+    return ClassFunction(
+        target, f.p, f.n, f.level, None, _rows=(at, num, np.prod(den[terms], axis=1))
+    )
 
 
 def power_op(f: ClassFunction, m: int, section: Section) -> ClassFunction:
@@ -830,14 +1030,13 @@ class TransferIdeal:
 
         It carries the statement that an indicator lies in the transfer
         ideal exactly when its class's sum of subgroups has more than one
-        summand.  f.values holds no zero table, so its keys are where f
-        is nonzero.
+        summand.  f has rows only where it is nonzero.
         """
         if f.group is not self.group:
             raise ValueError("class function does not live on the ideal's group")
         if (f.p, f.n, f.level) != (self.p, self.n, self.level):
             raise LevelMismatchError("class function parameters do not match the ideal")
-        return self.support.issuperset(f.values)
+        return self.support.issuperset(rep for rep, _ in _rows_by_rep(f))
 
 
 def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
@@ -869,18 +1068,18 @@ def transfer_ideal(p: int, n: int, level: int, m: int, g: FiniteGroup = None):
 # serialization
 
 
-def _fraction_strings(val: C0Element) -> list:
-    """Each entry as "num/den" in lowest terms, with one gcd pass over the table."""
-    arr = _tier(val._arr, max(val._bits, val.den.bit_length()))
-    g = np.gcd(arr, val.den)
-    return [f"{x}/{d}" for x, d in zip((arr // g).tolist(), (val.den // g).tolist())]
+def _fraction_strings(row, den: int, bits: int) -> list:
+    """Each entry of a row over den as "num/den" in lowest terms, with one gcd pass."""
+    arr = _tier(row, max(bits, den.bit_length()))
+    g = np.gcd(arr, den)
+    return [f"{x}/{d}" for x, d in zip((arr // g).tolist(), (den // g).tolist())]
 
 
 def json_classes(f: ClassFunction):
     """The entries of f's "classes" list, one per present class in sorted rep order, lazily."""
     return (
-        {"rep": list(rep), "value": _fraction_strings(val)}
-        for rep, val in sorted(f.values.items())
+        {"rep": list(rep), "value": _fraction_strings(f._num[r], f._den[r], f._bits)}
+        for rep, r in _rows_by_rep(f)
     )
 
 

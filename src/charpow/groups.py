@@ -305,6 +305,12 @@ def _check_order(name, factors):
             raise GroupTooLargeError(f"group {name} has order above ORDER_CAP = {ORDER_CAP}")
 
 
+def _check_degree(m: int):
+    """Refuse a negative m before any group is built or cached."""
+    if m < 0:
+        raise ValueError(f"m = {m} must be at least 0")
+
+
 def _prime_factors(k: int) -> list:
     """The primes of k, each as often as it divides k."""
     out, r = [], 2
@@ -343,6 +349,7 @@ def _perm_table(perms):
 
 def symmetric_group(m: int) -> FiniteGroup:
     """S_m on the permutations of range(m) in lexicographic order."""
+    _check_degree(m)
     name = f"S{m}"
     if name not in _GROUPS:
         _check_order(name, range(1, m + 1))
@@ -381,6 +388,7 @@ def wreath_group(g: FiniteGroup, m: int) -> FiniteGroup:
 
     (v, s) has index (v in base |G|, first entry leading) m! + (index of s).
     """
+    _check_degree(m)
     name = f"wr({g.name},{m})"
     if name not in _GROUPS:
         _check_order(name, (g.order * i for i in range(1, m + 1)))

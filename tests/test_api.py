@@ -33,6 +33,12 @@ ALLOWED = {
     "classfn.indicator": "the class function supported on one tuple class",
     "classfn.TransferIdeal.contains": "membership of a class function in the transfer ideal",
     "classfn.C0Element.sub": "subtraction in the coefficient ring C_0",
+    "classfn.C0Element.scale": "a rational multiple in C_0",
+    "classfn.C0Element.is_zero": "the zero test of C_0",
+    "classfn.C0Element.act_isogeny": "an isogeny acting on C_0, one factor of a power operation",
+    "classfn.C0Element.act_matrix_right": "the stabilizer action on C_0, as stabilizer_act applies it",
+    "classfn.c0_random": "one seeded coefficient table, as random_class_function draws per class",
+    "classfn.ClassFunction.scale": "a rational multiple of a class function",
     "classfn.to_json_dict": "a class function as one JSON object, read back by from_json_dict",
     "lattice.snf": "elementary divisors, the isomorphism type of an isogeny's kernel",
     "lattice.LatticeBasis.index": "[Z^n : Lambda_H] = |H| for an annihilator lattice",

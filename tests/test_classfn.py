@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from charpow import classfn as classfn_module
+from charpow import groups as groups_module
 from charpow.classfn import (
     CLASSFN_CACHE,
     INT64_BITS,
@@ -622,6 +623,46 @@ def test_class_function_zero_normalization(s3):
     assert f == ClassFunction(s3, P, N, LEVEL, {})
 
 
+@pytest.fixture(scope="module")
+def c2_function():
+    return random_class_function(build_group("C2"), 2, 2, 2, 1)
+
+
+def test_value_at_rejects_a_class_of_another_group(c2_function, s3):
+    key = enumerate_hom_classes(s3, 2, 2)[-1]
+    with pytest.raises(ValueError, match=r"S3.* is not a tuple class of C2 at n = 2$"):
+        c2_function.value_at(key)
+
+
+def test_value_at_rejects_a_key_of_the_wrong_length(c2_function):
+    with pytest.raises(ValueError, match=r"^\(1,\) is not a tuple class of C2 at n = 2$"):
+        c2_function.value_at((1,))
+
+
+def test_value_at_rejects_indices_outside_the_group(c2_function):
+    with pytest.raises(ValueError, match=r"^\(5, 5\) is not a tuple class of C2 at n = 2$"):
+        c2_function.value_at((5, 5))
+
+
+def test_symmetric_group_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match=r"^m = -2 must be at least 0$"):
+        symmetric_group(-2)
+    assert "S-2" not in groups_module._GROUPS
+
+
+@pytest.mark.parametrize("op", [power_op, total_power_op], ids=["power_op", "total_power_op"])
+def test_power_ops_refuse_a_negative_m_before_building_a_group(op, c2_function):
+    built = set(groups_module._GROUPS)
+    with pytest.raises(ValueError, match=r"^m = -1 must be at least 0$"):
+        op(c2_function, -1, canonical_section(2, 2, 1))
+    assert set(groups_module._GROUPS) == built
+
+
+def test_pow_refuses_a_negative_k(c2_function):
+    with pytest.raises(ValueError, match=r"^k = -1 must be at least 0$"):
+        c2_function.pow(-1)
+
+
 def test_aut_act_identity_and_one(s3):
     f = random_class_function(s3, P, N, LEVEL, seed=1)
     eye = PAdicMatrix(2, ((1, 0), (0, 1)))
@@ -1059,16 +1100,18 @@ def test_power_ops_match_per_call_oracle(n, spec):
             )
 
 
-def test_total_power_op_gathers_each_factor_once(monkeypatch):
+def test_total_power_op_gathers_each_factor_once():
     """C2 wr S3 at n = 2 has 68 classes and 156 summands, over 16 distinct
-    factors f([alpha . dual(phi_H)]) . phi_H."""
-    calls = []
-    act = C0Element.act_isogeny
-    monkeypatch.setattr(C0Element, "act_isogeny", lambda c, phi: calls.append(phi) or act(c, phi))
+    factors f([alpha . dual(phi_H)]) . phi_H: the plan lists each once."""
     f = random_class_function(build_group("C2"), P, 2, 2, seed=3)
-    out = total_power_op(f, 3, canonical_section(P, 2, 1))
+    section = canonical_section(P, 2, 1)
+    out = total_power_op(f, 3, section)
     assert len(out.values) == 68
-    assert len(calls) <= 16
+    src, phis, phi_of, terms = classfn_module._section_plan(
+        section, out.group, classfn_module._wreath_summands, psi_dual
+    )
+    assert len(src) == len(phi_of) == 16 and len(phis) == len(set(phi_of.tolist()))
+    assert terms.shape[0] == 68 and (terms < len(src)).sum() == 156
 
 
 def test_plan_is_not_shared_by_equal_sections(s3):

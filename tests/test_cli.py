@@ -941,9 +941,9 @@ def test_powerop_writes_before_the_last_class_is_formatted(tmp_path, monkeypatch
     out_path, sizes = tmp_path / "out.json", []
     fraction_strings = classfn._fraction_strings
 
-    def formatted(val):
+    def formatted(*row):
         sizes.append(out_path.stat().st_size if out_path.exists() else None)
-        return fraction_strings(val)
+        return fraction_strings(*row)
 
     monkeypatch.setattr(classfn, "_fraction_strings", formatted)
     argv = ["powerop", "--group", "C2", "--m", "3", "--total", "--level", "3",
