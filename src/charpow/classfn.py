@@ -86,7 +86,7 @@ def _translation_perm(p, level, n, a_flat, on_left):
     q = p ** level
     size = _table_size(p, n, level)
     weights = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    xi = (np.arange(size, dtype=np.int64)[:, None] // weights % q).reshape(size, n, n)
+    xi = np.indices((q,) * (n * n), dtype=np.int64).reshape(n * n, size).T.reshape(size, n, n)
     a = np.array([x % q for x in a_flat], dtype=np.int64).reshape(n, n)
     prod = (a @ xi if on_left else xi @ a) % q
     perm = prod.reshape(size, n * n).dot(weights).astype(np.intp)
@@ -577,9 +577,10 @@ class ClassFunction:
             isinstance(other, ClassFunction)
             and self.group is other.group
             and (self.p, self.n, self.level) == (other.p, other.n, other.level)
-            and np.array_equal(self._pos, other._pos)
-            and np.array_equal(self._den, other._den)
-            and np.array_equal(self._num, other._num)
+            and self._num.shape == other._num.shape
+            and bool((self._pos == other._pos).all())
+            and bool((self._den == other._den).all())
+            and bool((self._num == other._num).all())
         )
 
     def __repr__(self):
