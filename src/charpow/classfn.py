@@ -388,16 +388,17 @@ def _scaled(num, bits, k):
     return _tier(num, bits) * k.astype(_narrow(bits))[:, None], bits
 
 
-def _row_gcds(num, den):
-    """gcd(den[r], *num[r]) for each row, in blocks of about _CHECK_BLOCK entries;
-    a row over 1 is not read."""
-    g = np.ones(len(den), dtype=object)
-    need = np.flatnonzero(den != 1)
-    block = max(1, _CHECK_BLOCK // max(num.shape[1], 1))
-    for b in range(0, len(need), block):
-        rows = need[b:b + block]
-        g[rows] = np.gcd(np.gcd.reduce(num[rows], axis=1), den[rows])
-    return g
+def _normalized_rows(num, den):
+    """(num, den) with row r divided by gcd(den[r], *num[r]); not read when every den is 1."""
+    if (den == 1).all():
+        return num, den
+    g = np.gcd(np.gcd.reduce(num, axis=1), den)
+    fix = np.flatnonzero(g != 1)
+    if len(fix):  # g divides every entry of its row, so it fits the tier
+        num = num if num.flags.writeable else num.copy()
+        num[fix] //= g[fix].astype(num.dtype)[:, None]
+        den = den // g
+    return num, den
 
 
 def _weighted_sums(count, slot, num, den, bits, k):
@@ -465,11 +466,7 @@ class ClassFunction:
             keep = num.any(axis=1)
             if not keep.all():
                 pos, num, den = pos[keep], num[keep], den[keep]
-            g = _row_gcds(num, den)
-            if (g != 1).any():  # g divides every entry of its row, so it fits the tier
-                num = num if num.flags.writeable else num.copy()
-                np.floor_divide(num, g.astype(num.dtype)[:, None], out=num)
-                den = den // g
+            num, den = _normalized_rows(num, den)
             _bits = max(int(num.max()), -int(num.min())).bit_length() if num.size else 0
             num = num.astype(_narrow(_bits), copy=False)
         self._pos, self._num, self._den, self._bits = pos, num, den, _bits
